@@ -4,7 +4,7 @@
 // (the same `key = value` text `xtest scenarios --dump` emits).  The queue
 // orders by (priority desc, id asc) -- FIFO within a priority band -- and
 // survives any daemon death: every mutation rewrites the queue file
-// atomically (write-tmp, fsync, rename -- the checkpoint discipline) with
+// atomically (util::write_durably, shared with the checkpoint) with
 // a CRC-32 trailer per record, so a restarted daemon reloads exactly the
 // accepted jobs.  A job found `running` on load was interrupted mid-run
 // and goes back to `queued`; its campaign resumes from its own shard

@@ -8,11 +8,12 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "cpu/microcode.h"
-#include "sim/checkpoint.h"
+#include "sim/campaign_driver.h"
 #include "sim/gold_cache.h"
 #include "sim/system_pool.h"
 #include "util/fault_injector.h"
@@ -20,13 +21,7 @@
 
 namespace xtest::sim {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+namespace detail {
 
 const xtalk::RcNetwork& nominal_net(const soc::System& system,
                                     soc::BusKind bus) {
@@ -47,6 +42,250 @@ void apply_defect(soc::System& system, soc::BusKind bus,
     case soc::BusKind::kControl: system.set_control_network(net); break;
   }
 }
+
+Verdict verdict_of(Verdict v) { return v; }
+Verdict verdict_of(const OnlineOutcome& o) { return o.verdict; }
+
+template <typename Record>
+std::vector<Record> run_campaign(const soc::SystemConfig& config,
+                                 const sbst::TestProgram& program,
+                                 std::size_t n, const CampaignOptions& options,
+                                 const CampaignMode<Record>& mode) {
+  const auto start = std::chrono::steady_clock::now();
+  const ShardSpec shard = options.shard;
+  if (shard.count == 0 || (shard.count > 1 && shard.index >= shard.count))
+    throw std::invalid_argument(
+        "campaign shard " + std::to_string(shard.index) + "/" +
+        std::to_string(shard.count) + ": index must be < count");
+
+  // Counters are added straight onto the caller's stats (sessions and
+  // sweeps accumulate); without a caller they go to a discarded copy.
+  util::CampaignStats discarded;
+  util::CampaignStats& stats =
+      options.stats != nullptr ? *options.stats : discarded;
+  // The program never changes across defects: pre-decode it once and pin
+  // the result on every simulator (gold, workers, retry), so no System
+  // re-validates the image per load.  Skipped under an armed injector so
+  // the cpu.decode fault site keeps its per-load decision.
+  std::shared_ptr<const cpu::MicroProgram> micro;
+  if (config.exec_tier != cpu::ExecTier::kReference &&
+      !util::FaultInjector::global().armed()) {
+    bool built = false;
+    micro = cpu::DecodeCache::global().obtain(program.image, &built);
+    ++(built ? stats.decoded_programs : stats.decode_cache_hits);
+  }
+  // Simulators come from the process-wide pool (system_pool.h) with the
+  // pre-decoded program pinned; stats absorb each lease's own counters.
+  const auto lease = [&config, &micro](bool fresh = false) {
+    SystemPool::Lease system = SystemPool::global().acquire(config, fresh);
+    system->set_micro_program(micro);
+    return system;
+  };
+
+  std::vector<Record> records(n);
+  std::vector<std::uint64_t> run_cycles(n, 0);
+  // Slots still to simulate: owned by this shard, not restored from a
+  // previous (interrupted) run, and not completed by the gold step.
+  std::vector<std::uint8_t> pending(n, 0);
+  for (std::size_t i = 0; i < n; ++i) pending[i] = shard.owns(i);
+  std::size_t restored_count = 0;
+
+  std::unique_ptr<CampaignCheckpoint> checkpoint;
+  const std::string& section = options.checkpoint_section;
+  if (!options.checkpoint_path.empty()) {
+    checkpoint = std::make_unique<CampaignCheckpoint>(
+        options.checkpoint_path,
+        options.checkpoint_key.empty() ? mode.default_key
+                                       : options.checkpoint_key,
+        options.checkpoint_every,
+        shard.count > 1 ? "s" + std::to_string(shard.index) : "",
+        std::is_same_v<Record, Verdict> ? CheckpointFormat::kVerdicts
+                                        : CheckpointFormat::kOnlineOutcomes);
+    const SalvageReport& sr = checkpoint->salvage();
+    if (sr.salvaged) {
+      stats.salvaged_sections += sr.sections_kept;
+      stats.dropped_slots += sr.dropped_slots;
+      stats.error_log.push_back(
+          "checkpoint " + options.checkpoint_path + ": salvaged " +
+          std::to_string(sr.sections_kept) + " section(s), dropped " +
+          std::to_string(sr.dropped_slots) +
+          " completed slot(s) from a corrupt tail");
+    }
+    std::vector<std::optional<Record>> slots;
+    if constexpr (std::is_same_v<Record, Verdict>)
+      slots = checkpoint->restore(section, n);
+    else
+      slots = checkpoint->restore_outcomes(section, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!slots[i]) continue;
+      records[i] = *slots[i];
+      pending[i] = 0;
+      ++restored_count;
+    }
+  }
+
+  // Cooperative cancellation: set by the operator (options.cancel, wired
+  // to a SIGINT/SIGTERM flag) or by the chaos-soak injection sites.
+  std::atomic<bool> killed{false};
+  std::atomic<bool> crashed{false};
+  const auto cancelled = [&] {
+    return killed.load(std::memory_order_relaxed) ||
+           (options.cancel != nullptr &&
+            options.cancel->load(std::memory_order_relaxed));
+  };
+  std::atomic<std::size_t> simulated{0};
+  // Records slot i in memory and in the checkpoint, then calls the
+  // progress hook (worker heartbeat, worker.exit chaos site).
+  const auto settle = [&](std::size_t i, const Record& record,
+                          std::uint64_t cycles) {
+    records[i] = record;
+    run_cycles[i] = cycles;
+    pending[i] = 0;
+    simulated.fetch_add(1, std::memory_order_relaxed);
+    if (checkpoint) checkpoint->record(section, i, record);
+    if (options.progress) options.progress();
+  };
+  // settle() plus the chaos sites: "campaign.kill" is a graceful kill
+  // (final flush, resumable from every completed record), "campaign.crash"
+  // a hard one (no final flush, like a real SIGKILL mid-campaign).
+  const auto complete = [&](std::size_t i, const Record& record,
+                            std::uint64_t cycles) {
+    settle(i, record, cycles);
+    util::FaultInjector& inj = util::FaultInjector::global();
+    if (inj.fire("campaign.kill")) killed.store(true);
+    if (inj.fire("campaign.crash")) {
+      crashed.store(true);
+      killed.store(true);
+    }
+  };
+
+  std::uint64_t gold_cycles = 0;
+  {
+    SystemPool::Lease gold_system = lease();
+    GoldStep<Record> step{*gold_system, stats, pending, cancelled, complete};
+    gold_cycles = mode.gold(step);
+    gold_system.add_counters(stats);
+  }
+
+  // Each worker lazily owns its private simulator; records are written by
+  // defect index, so the result is independent of the worker count and of
+  // any interleaving.
+  const unsigned workers = options.parallel.resolve(n);
+  std::vector<SystemPool::Lease> systems(workers);
+  const std::vector<util::ItemError> errors = util::parallel_for_items(
+      n, options.parallel, [&](std::size_t i, unsigned w) {
+        if (!pending[i] || cancelled()) return;
+        if (!systems[w]) systems[w] = lease();
+        std::uint64_t cycles = 0;
+        const Record record = mode.simulate(i, *systems[w], cycles);
+        complete(i, record, cycles);
+      });
+  for (const SystemPool::Lease& s : systems)
+    if (s) s.add_counters(stats);
+
+  // Quarantine: each failed defect is retried once serially on a fresh
+  // simulator (a transient poisoned-worker state cannot recur there); a
+  // second failure is recorded as kSimError and the campaign still
+  // completes with every other record intact.  Retries record through
+  // settle(): the chaos sites count screen and fan-out completions only.
+  Record failed{};
+  if constexpr (std::is_same_v<Record, Verdict>)
+    failed = Verdict::kSimError;
+  else
+    failed.verdict = Verdict::kSimError;
+  std::size_t retries = 0;
+  for (const util::ItemError& e : errors) {
+    if (cancelled()) break;  // unrecorded items re-run on resume
+    // The parallel.item injection site fires for every index of the
+    // range, including slots this call never simulates (restored,
+    // screened, another shard's); they must not leak into its records.
+    if (!pending[e.index]) continue;
+    std::string message = e.message;
+    Record record = failed;
+    std::uint64_t cycles = 0;
+    bool recovered = false;
+    if (options.retry_errors) {
+      ++retries;
+      // Never a pooled simulator: a transient poisoned-worker state
+      // cannot recur on a fresh one.
+      SystemPool::Lease fresh = lease(/*fresh=*/true);
+      try {
+        record = mode.simulate(e.index, *fresh, cycles);
+        recovered = true;
+      } catch (const std::exception& retry_error) {
+        message = retry_error.what();
+      } catch (...) {
+        message = "unknown exception";
+      }
+      fresh.add_counters(stats);
+    }
+    if (!recovered) {
+      cycles = 0;
+      stats.error_log.push_back("defect " + std::to_string(e.index) + ": " +
+                                message);
+    }
+    settle(e.index, record, cycles);
+  }
+
+  const bool interrupted = cancelled();
+  if (checkpoint && !crashed.load()) {
+    // The final flush is best-effort: the in-memory records are the
+    // campaign result, a full disk must not turn them into a failure.
+    try {
+      checkpoint->flush();
+    } catch (const std::exception& e) {
+      stats.error_log.push_back(std::string("checkpoint final flush failed: ") +
+                                e.what());
+    }
+  }
+
+  stats.threads = workers;
+  stats.defects_simulated += simulated.load();
+  stats.restored_from_checkpoint += restored_count;
+  stats.retries += retries;
+  stats.simulated_cycles += gold_cycles;
+  for (std::uint64_t c : run_cycles) stats.simulated_cycles += c;
+  if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
+  if (!interrupted) {
+    // A sharded run tallies only the slots it owns, so per-shard verdict
+    // breakdowns sum to exactly the unsharded breakdown under
+    // merge_shard_results.
+    std::vector<Verdict> owned;
+    owned.reserve(shard.owned_of(n));
+    for (std::size_t i = 0; i < n; ++i)
+      if (shard.owns(i)) owned.push_back(verdict_of(records[i]));
+    tally_verdicts(owned, stats);
+  }
+  mode.tally(records, !interrupted, stats);
+  stats.wall_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  if (interrupted)
+    throw CampaignInterrupted(
+        "campaign interrupted after " + std::to_string(simulated.load()) +
+        " new verdict(s)" +
+        (checkpoint ? (crashed.load()
+                           ? "; simulated crash, last periodic checkpoint "
+                             "flush survives"
+                           : "; checkpoint flushed to " +
+                                 options.checkpoint_path)
+                    : "; no checkpoint configured") +
+        " -- rerun the same command to resume");
+  return records;
+}
+
+template std::vector<Verdict> run_campaign<Verdict>(
+    const soc::SystemConfig&, const sbst::TestProgram&, std::size_t,
+    const CampaignOptions&, const CampaignMode<Verdict>&);
+template std::vector<OnlineOutcome> run_campaign<OnlineOutcome>(
+    const soc::SystemConfig&, const sbst::TestProgram&, std::size_t,
+    const CampaignOptions&, const CampaignMode<OnlineOutcome>&);
+
+}  // namespace detail
+
+namespace {
+
+using detail::nominal_net;
 
 const xtalk::CrosstalkErrorModel& bus_model(const soc::System& system,
                                             soc::BusKind bus) {
@@ -132,7 +371,7 @@ Verdict simulate_one(soc::System& system, soc::BusKind bus,
                      const sbst::TestProgram& program,
                      const ResponseSnapshot& gold, std::uint64_t budget,
                      std::uint64_t deadline_ms, std::uint64_t& cycles) {
-  apply_defect(system, bus, defect);
+  detail::apply_defect(system, bus, defect);
   ResponseSnapshot snap;
   try {
     snap = run_and_capture(system, program, budget, deadline_ms);
@@ -143,6 +382,57 @@ Verdict simulate_one(soc::System& system, soc::BusKind bus,
   cycles = snap.cycles;
   system.clear_defects();
   return classify(gold, snap);
+}
+
+/// Transition-major batched pre-screen (the defect-batched fast path).
+/// It runs serially *before* the worker fan-out, so the screened set is a
+/// pure function of the inputs -- identical at every thread count, and
+/// recomputed identically on any resume (restored slots are simply not
+/// gathered), which makes every checkpoint boundary batch-safe.  A lane
+/// whose received word matches the gold word on every unique gold
+/// transition provably executes the gold run verbatim (only the bus under
+/// test is perturbed; while execution matches gold the faulty run sees
+/// exactly gold's (held, driven) pairs), so it is completed kUndetected
+/// after gold.cycles without being simulated -- exactly the verdict and
+/// cycle count the full simulation would produce.  Diverging lanes may
+/// still be masked, so they fall through to the per-defect simulation.
+void batch_screen(detail::GoldStep<Verdict>& step, soc::BusKind bus,
+                  const xtalk::DefectLibrary& library,
+                  const GoldTransitions& transitions,
+                  std::uint64_t gold_cycles, std::size_t batch_size) {
+  const soc::System& probe = step.system;
+  const xtalk::RcNetwork& nominal = nominal_net(probe, bus);
+  const xtalk::ErrorModelConfig model_config = bus_model(probe, bus).config();
+  // Width-mismatched defects (e.g. poisoned CSV reloads) are not gathered;
+  // they hit apply() in the worker and take the ordinary quarantine path.
+  std::vector<std::size_t> candidates;
+  for (std::size_t i = 0; i < library.size(); ++i)
+    if (step.pending[i] && library[i].width() == nominal.width())
+      candidates.push_back(i);
+  std::vector<std::size_t> window;
+  for (std::size_t begin = 0; begin < candidates.size() && !step.cancelled();
+       begin += batch_size) {
+    const std::size_t end = std::min(begin + batch_size, candidates.size());
+    window.assign(candidates.begin() + begin, candidates.begin() + end);
+    const xtalk::DefectBatch batch(nominal, library, window);
+    xtalk::BatchEvaluator evaluator(batch, model_config);
+    std::vector<std::uint8_t> live(window.size(), 1);
+    std::size_t alive = window.size();
+    for (std::size_t t = 0; t < transitions.held.size() && alive > 0; ++t) {
+      ++step.stats.batched_transitions;
+      alive = evaluator.screen(transitions.held[t], transitions.driven[t],
+                               xtalk::BusDirection::kCpuToCore,
+                               transitions.expected[t], live.data());
+    }
+    step.stats.batch_lanes += window.size();
+    step.stats.batch_capacity += batch_size;
+    for (std::size_t l = 0; l < window.size(); ++l) {
+      if (!live[l]) continue;
+      if (step.cancelled()) break;
+      ++step.stats.batch_screened;
+      step.complete(window[l], Verdict::kUndetected, gold_cycles);
+    }
+  }
 }
 
 }  // namespace
@@ -180,138 +470,14 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    soc::BusKind bus,
                                    const xtalk::DefectLibrary& library,
                                    const CampaignOptions& options) {
-  const auto start = Clock::now();
   const std::size_t n = library.size();
-  const ShardSpec shard = options.shard;
-  if (shard.count == 0 || (shard.count > 1 && shard.index >= shard.count))
-    throw std::invalid_argument(
-        "campaign shard " + std::to_string(shard.index) + "/" +
-        std::to_string(shard.count) + ": index must be < count");
   const bool batching = options.batched && options.batch_size >= 1 && n > 0;
-  // One completed-verdict notification (checkpoint already updated); the
-  // worker-process heartbeat and the deterministic worker.exit chaos site
-  // hang off this.
-  const auto notify_progress = [&options] {
-    if (options.progress) options.progress();
-  };
   // Gold-run reuse: the snapshot is a pure function of (config, program,
   // budget), so identical gold programs across sessions, per-line sweeps,
   // and checkpoint resumes are answered from the process-wide memo.  An
   // armed fault injector bypasses the memo (see gold_cache.h).
-  soc::CacheCounters xfer_counters;
-  soc::TierCounters tier_counters;
-  // Simulators come from the process-wide pool (system_pool.h) and carry
-  // counter history from earlier leases, so stats absorb per-lease deltas.
-  const auto absorb = [&xfer_counters,
-                       &tier_counters](const SystemPool::Lease& lease) {
-    const soc::CacheCounters c = lease.cache_delta();
-    xfer_counters.hits += c.hits;
-    xfer_counters.misses += c.misses;
-    const soc::TierCounters t = lease.tier_delta();
-    tier_counters.decoded_programs += t.decoded_programs;
-    tier_counters.decode_cache_hits += t.decode_cache_hits;
-    tier_counters.jit_blocks += t.jit_blocks;
-    tier_counters.jit_bailouts += t.jit_bailouts;
-  };
-  // The program never changes across defects: pre-decode it once and pin
-  // the result on every simulator (gold, workers, retry), so no System
-  // re-validates the image per load.  Skipped under an armed injector so
-  // the cpu.decode fault site keeps its per-load decision.
-  std::shared_ptr<const cpu::MicroProgram> micro;
-  if (config.exec_tier != cpu::ExecTier::kReference &&
-      !util::FaultInjector::global().armed()) {
-    bool built = false;
-    micro = cpu::DecodeCache::global().obtain(program.image, &built);
-    if (built)
-      ++tier_counters.decoded_programs;
-    else
-      ++tier_counters.decode_cache_hits;
-  }
-  ResponseSnapshot gold;
-  bool gold_reused = false;
-  std::size_t gold_evicted = 0;
   const bool gold_cacheable =
       options.reuse_gold && !util::FaultInjector::global().armed();
-  std::uint64_t gold_key = 0;
-  std::shared_ptr<const GoldTransitions> transitions;
-  if (gold_cacheable) {
-    gold_key = gold_run_key(config, program, 1'000'000);
-    gold_reused = GoldRunCache::global().find(gold_key, gold);
-    if (gold_reused && batching) {
-      transitions = transitions_find(transitions_key(gold_key, bus));
-      // A snapshot hit without its transition stream still costs a traced
-      // gold re-run; count it as a miss so the accounting stays honest.
-      if (transitions == nullptr) gold_reused = false;
-    }
-  }
-  if (!gold_reused) {
-    SystemPool::Lease gold_system = SystemPool::global().acquire(config);
-    gold_system->set_micro_program(micro);
-    soc::BusTrace trace;
-    if (batching) gold_system->set_trace(&trace);
-    gold = run_and_capture(*gold_system, program, 1'000'000);
-    gold_system->set_trace(nullptr);
-    absorb(gold_system);
-    if (batching) transitions = collect_transitions(trace, bus);
-    if (gold_cacheable) {
-      gold_evicted = GoldRunCache::global().store(gold_key, gold);
-      if (batching)
-        transitions_store(transitions_key(gold_key, bus), transitions);
-    }
-  }
-  if (!gold.completed)
-    throw std::runtime_error("gold run did not complete; bad program");
-  const std::uint64_t budget = gold.cycles * options.cycle_factor + 1000;
-
-  std::vector<Verdict> verdicts(n, Verdict::kUndetected);
-  std::vector<std::uint64_t> run_cycles(n, 0);
-  // Slots already carrying a verdict from a previous (interrupted) run.
-  std::vector<std::uint8_t> restored(n, 0);
-  std::size_t restored_count = 0;
-
-  std::unique_ptr<CampaignCheckpoint> checkpoint;
-  if (!options.checkpoint_path.empty()) {
-    checkpoint = std::make_unique<CampaignCheckpoint>(
-        options.checkpoint_path,
-        options.checkpoint_key.empty() ? default_checkpoint_key(bus, library)
-                                       : options.checkpoint_key,
-        options.checkpoint_every,
-        shard.count > 1 ? "s" + std::to_string(shard.index) : "");
-    const SalvageReport& sr = checkpoint->salvage();
-    if (sr.salvaged && options.stats != nullptr) {
-      options.stats->salvaged_sections += sr.sections_kept;
-      options.stats->dropped_slots += sr.dropped_slots;
-      options.stats->error_log.push_back(
-          "checkpoint " + options.checkpoint_path + ": salvaged " +
-          std::to_string(sr.sections_kept) + " section(s), dropped " +
-          std::to_string(sr.dropped_slots) +
-          " completed slot(s) from a corrupt tail");
-    }
-    const auto slots = checkpoint->restore(options.checkpoint_section, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!slots[i]) continue;
-      verdicts[i] = *slots[i];
-      restored[i] = 1;
-      ++restored_count;
-    }
-  }
-
-  // Cooperative cancellation: set by the operator (options.cancel, wired
-  // to a SIGINT/SIGTERM flag) or by the chaos-soak injection sites.
-  // "campaign.kill" is a graceful kill (final flush happens, resumable
-  // from every completed verdict); "campaign.crash" models a hard kill
-  // (no final flush -- only periodically flushed state survives, exactly
-  // like a real SIGKILL mid-campaign).
-  std::atomic<bool> killed{false};
-  std::atomic<bool> crashed{false};
-  const auto cancelled = [&] {
-    return killed.load(std::memory_order_relaxed) ||
-           (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed));
-  };
-
-  std::atomic<std::size_t> simulated{0};
-
   // Whole-run reuse (gold_cache.h): on accelerated tiers a defect's
   // (verdict, cycles) outcome is a pure function of (gold key, bus,
   // budget, defect factors), so repeated passes over the same library --
@@ -322,245 +488,71 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
   // hit every simulation).
   const bool memo_runs =
       gold_cacheable && config.exec_tier != cpu::ExecTier::kReference;
+  ResponseSnapshot gold;
+  std::uint64_t gold_key = 0;
+  std::uint64_t budget = 0;
   std::atomic<std::size_t> run_reuses{0};
 
-  // Transition-major batched pre-screen (the defect-batched fast path):
-  // the screen runs serially *before* the worker fan-out, so the screened
-  // set is a pure function of the inputs -- identical at every thread
-  // count, and recomputed identically on any resume (restored slots are
-  // simply not gathered), which makes every checkpoint boundary
-  // batch-safe.  A lane whose received word matches the gold word on
-  // every unique gold transition provably executes the gold run verbatim
-  // (only the bus under test is perturbed; while execution matches gold
-  // the faulty run sees exactly gold's (held, driven) pairs), so it is
-  // recorded kUndetected after gold.cycles without being simulated --
-  // exactly the verdict and cycle count the full simulation would
-  // produce.  Diverging lanes may still be masked, so they fall through
-  // to the unchanged per-defect simulation below.
-  std::vector<std::uint8_t> screened(n, 0);
-  std::uint64_t screen_transitions = 0;
-  std::size_t screen_lanes = 0;
-  std::size_t screen_capacity = 0;
-  std::size_t screened_count = 0;
-  if (batching) {
-    const SystemPool::Lease probe = SystemPool::global().acquire(config);
-    const xtalk::RcNetwork& nominal = nominal_net(*probe, bus);
-    const xtalk::ErrorModelConfig model_config =
-        bus_model(*probe, bus).config();
-    // Width-mismatched defects (e.g. poisoned CSV reloads) are not
-    // gathered; they hit apply() in the worker and take the ordinary
-    // quarantine path.
-    std::vector<std::size_t> candidates;
-    candidates.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      if (!restored[i] && shard.owns(i) &&
-          library[i].width() == nominal.width())
-        candidates.push_back(i);
-    std::vector<std::size_t> window;
-    for (std::size_t begin = 0; begin < candidates.size() && !cancelled();
-         begin += options.batch_size) {
-      const std::size_t end =
-          std::min(begin + options.batch_size, candidates.size());
-      window.assign(candidates.begin() + begin, candidates.begin() + end);
-      const xtalk::DefectBatch batch(nominal, library, window);
-      xtalk::BatchEvaluator evaluator(batch, model_config);
-      std::vector<std::uint8_t> live(window.size(), 1);
-      std::size_t alive = window.size();
-      for (std::size_t t = 0; t < transitions->held.size() && alive > 0;
-           ++t) {
-        ++screen_transitions;
-        alive = evaluator.screen(transitions->held[t], transitions->driven[t],
-                                 xtalk::BusDirection::kCpuToCore,
-                                 transitions->expected[t], live.data());
-      }
-      screen_lanes += window.size();
-      screen_capacity += options.batch_size;
-      for (std::size_t l = 0; l < window.size(); ++l) {
-        if (!live[l]) continue;
-        if (cancelled()) break;
-        const std::size_t i = window[l];
-        verdicts[i] = Verdict::kUndetected;
-        run_cycles[i] = gold.cycles;
-        screened[i] = 1;
-        ++screened_count;
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        if (checkpoint)
-          checkpoint->record(options.checkpoint_section, i, verdicts[i]);
-        notify_progress();
-        util::FaultInjector& inj = util::FaultInjector::global();
-        if (inj.fire("campaign.kill")) killed.store(true);
-        if (inj.fire("campaign.crash")) {
-          crashed.store(true);
-          killed.store(true);
-        }
+  detail::CampaignMode<Verdict> mode;
+  mode.default_key = default_checkpoint_key(bus, library);
+  mode.gold = [&](detail::GoldStep<Verdict>& step) {
+    std::shared_ptr<const GoldTransitions> transitions;
+    bool gold_reused = false;
+    if (gold_cacheable) {
+      gold_key = gold_run_key(config, program, 1'000'000);
+      gold_reused = GoldRunCache::global().find(gold_key, gold);
+      if (gold_reused && batching) {
+        transitions = transitions_find(transitions_key(gold_key, bus));
+        // A snapshot hit without its transition stream still costs a
+        // traced gold re-run; count it as a miss so the accounting stays
+        // honest.
+        if (transitions == nullptr) gold_reused = false;
       }
     }
-  }
-
-  // Each worker lazily owns its private simulator; verdict slots are
-  // written by defect index, so the result is independent of the worker
-  // count and of any interleaving.
-  const unsigned workers = options.parallel.resolve(n);
-  std::vector<SystemPool::Lease> systems(workers);
-  const std::vector<util::ItemError> errors = util::parallel_for_items(
-      n, options.parallel, [&](std::size_t i, unsigned w) {
-        if (restored[i] || screened[i] || !shard.owns(i) || cancelled())
-          return;
-        std::uint64_t run_key = 0;
-        bool run_reused = false;
-        if (memo_runs) {
-          run_key = defect_run_key(gold_key, bus, budget, library[i]);
-          run_reused = DefectRunCache::global().find(run_key, verdicts[i],
-                                                     run_cycles[i]);
-        }
-        if (run_reused) {
-          run_reuses.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          if (!systems[w]) {
-            systems[w] = SystemPool::global().acquire(config);
-            systems[w]->set_micro_program(micro);
-          }
-          verdicts[i] =
-              simulate_one(*systems[w], bus, library[i], program, gold,
-                           budget, options.defect_deadline_ms, run_cycles[i]);
-          if (memo_runs)
-            DefectRunCache::global().store(run_key, verdicts[i],
-                                           run_cycles[i]);
-        }
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        if (checkpoint)
-          checkpoint->record(options.checkpoint_section, i, verdicts[i]);
-        notify_progress();
-        util::FaultInjector& inj = util::FaultInjector::global();
-        if (inj.fire("campaign.kill")) killed.store(true);
-        if (inj.fire("campaign.crash")) {
-          crashed.store(true);
-          killed.store(true);
-        }
-      });
-
-  for (const SystemPool::Lease& s : systems) {
-    if (!s) continue;
-    absorb(s);
-  }
-
-  // Quarantine: each failed defect is retried once serially on a fresh
-  // simulator (a transient poisoned-worker state cannot recur there); a
-  // second failure is recorded as kSimError and the campaign still
-  // completes with every other verdict intact.
-  std::size_t retries = 0;
-  for (const util::ItemError& e : errors) {
-    if (cancelled()) break;  // unrecorded items re-run on resume
-    // The parallel.item injection site fires for every index of the
-    // range, including slots this shard never simulates; those are not
-    // this shard's work and must not leak into its verdicts or stats.
-    if (!shard.owns(e.index) || restored[e.index] || screened[e.index])
-      continue;
-    std::string message = e.message;
-    bool recovered = false;
-    if (options.retry_errors) {
-      ++retries;
-      // Deliberately not leased from the pool: the quarantine guarantee
-      // is a *fresh* simulator, where a transient poisoned-worker state
-      // cannot recur.
-      soc::System system(config);
-      system.set_micro_program(micro);
-      try {
-        verdicts[e.index] =
-            simulate_one(system, bus, library[e.index], program, gold, budget,
-                         options.defect_deadline_ms, run_cycles[e.index]);
-        recovered = true;
-      } catch (const std::exception& retry_error) {
-        message = retry_error.what();
-      } catch (...) {
-        message = "unknown exception";
+    if (!gold_reused) {
+      soc::System& system = step.system;
+      soc::BusTrace trace;
+      if (batching) system.set_trace(&trace);
+      gold = run_and_capture(system, program, 1'000'000);
+      system.set_trace(nullptr);
+      if (batching) transitions = collect_transitions(trace, bus);
+      if (gold_cacheable) {
+        step.stats.gold_evictions +=
+            GoldRunCache::global().store(gold_key, gold);
+        if (batching)
+          transitions_store(transitions_key(gold_key, bus), transitions);
       }
-      const soc::CacheCounters c = system.transition_cache_counters();
-      xfer_counters.hits += c.hits;
-      xfer_counters.misses += c.misses;
-      const soc::TierCounters t = system.tier_counters();
-      tier_counters.decoded_programs += t.decoded_programs;
-      tier_counters.decode_cache_hits += t.decode_cache_hits;
-      tier_counters.jit_blocks += t.jit_blocks;
-      tier_counters.jit_bailouts += t.jit_bailouts;
     }
-    if (!recovered) {
-      verdicts[e.index] = Verdict::kSimError;
-      run_cycles[e.index] = 0;
-      if (options.stats != nullptr)
-        options.stats->error_log.push_back(
-            "defect " + std::to_string(e.index) + ": " + message);
+    step.stats.gold_reuses += gold_reused ? 1 : 0;
+    if (!gold.completed)
+      throw std::runtime_error("gold run did not complete; bad program");
+    budget = gold.cycles * options.cycle_factor + 1000;
+    if (batching)
+      batch_screen(step, bus, library, *transitions, gold.cycles,
+                   options.batch_size);
+    return gold.cycles;
+  };
+  mode.simulate = [&](std::size_t i, soc::System& system,
+                      std::uint64_t& cycles) {
+    std::uint64_t run_key = 0;
+    Verdict verdict;
+    if (memo_runs) {
+      run_key = defect_run_key(gold_key, bus, budget, library[i]);
+      if (DefectRunCache::global().find(run_key, verdict, cycles)) {
+        run_reuses.fetch_add(1, std::memory_order_relaxed);
+        return verdict;
+      }
     }
-    if (checkpoint)
-      checkpoint->record(options.checkpoint_section, e.index,
-                         verdicts[e.index]);
-    simulated.fetch_add(1, std::memory_order_relaxed);
-    notify_progress();
-  }
-
-  const bool interrupted = cancelled();
-  if (checkpoint && !crashed.load()) {
-    // The final flush is best-effort: the in-memory verdicts are the
-    // campaign result, a full disk must not turn them into a failure.
-    try {
-      checkpoint->flush();
-    } catch (const std::exception& e) {
-      if (options.stats != nullptr)
-        options.stats->error_log.push_back(
-            std::string("checkpoint final flush failed: ") + e.what());
-    }
-  }
-
-  if (options.stats != nullptr) {
-    util::CampaignStats& stats = *options.stats;
-    stats.threads = workers;
-    stats.defects_simulated += simulated.load();
-    stats.restored_from_checkpoint += restored_count;
-    stats.retries += retries;
-    stats.simulated_cycles += gold.cycles;
-    for (std::uint64_t c : run_cycles) stats.simulated_cycles += c;
-    if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
-    stats.cache_hits += xfer_counters.hits;
-    stats.cache_misses += xfer_counters.misses;
-    stats.gold_reuses += gold_reused ? 1 : 0;
-    stats.gold_evictions += gold_evicted;
+    verdict = simulate_one(system, bus, library[i], program, gold,
+                           budget, options.defect_deadline_ms, cycles);
+    if (memo_runs) DefectRunCache::global().store(run_key, verdict, cycles);
+    return verdict;
+  };
+  mode.tally = [&](const std::vector<Verdict>&, bool,
+                   util::CampaignStats& stats) {
     stats.run_reuses += run_reuses.load();
-    stats.batch_screened += screened_count;
-    stats.batched_transitions += screen_transitions;
-    stats.batch_lanes += screen_lanes;
-    stats.batch_capacity += screen_capacity;
-    stats.decoded_programs += tier_counters.decoded_programs;
-    stats.decode_cache_hits += tier_counters.decode_cache_hits;
-    stats.jit_blocks += tier_counters.jit_blocks;
-    stats.jit_bailouts += tier_counters.jit_bailouts;
-    // A sharded run tallies only the slots it owns, so per-shard verdict
-    // breakdowns sum to exactly the unsharded breakdown under
-    // merge_shard_results.
-    if (!interrupted) {
-      if (shard.count <= 1) {
-        tally_verdicts(verdicts, stats);
-      } else {
-        std::vector<Verdict> owned;
-        owned.reserve(shard.owned_of(n));
-        for (std::size_t i = shard.index; i < n; i += shard.count)
-          owned.push_back(verdicts[i]);
-        tally_verdicts(owned, stats);
-      }
-    }
-    stats.wall_seconds += seconds_since(start);
-  }
-  if (interrupted)
-    throw CampaignInterrupted(
-        "campaign interrupted after " + std::to_string(simulated.load()) +
-        " new verdict(s)" +
-        (checkpoint ? (crashed.load()
-                           ? "; simulated crash, last periodic checkpoint "
-                             "flush survives"
-                           : "; checkpoint flushed to " +
-                                 options.checkpoint_path)
-                    : "; no checkpoint configured") +
-        " -- rerun the same command to resume");
-  return verdicts;
+  };
+  return detail::run_campaign(config, program, n, options, mode);
 }
 
 std::vector<Verdict> merge_shard_results(const std::vector<ShardResult>& shards,

@@ -2,32 +2,43 @@
 //
 // Long campaigns (the production target is millions of defect simulations)
 // must survive interruption: a killed run restarts from its last flushed
-// checkpoint instead of from zero, and -- because every verdict is a pure
-// function of (system config, program, bus, defect) -- the resumed run is
-// bitwise identical to an uninterrupted one at any thread count.
+// checkpoint instead of from zero, and -- because every per-defect record
+// is a pure function of (system config, program, bus, defect) -- the
+// resumed run is bitwise identical to an uninterrupted one at any thread
+// count.
 //
-// The file is plain text, diffable, and crash-durable: the full state is
-// written to a pid-unique "<path>.tmp.<pid>" ("<path>.tmp.<tag>.<pid>"
-// when the checkpoint carries a tag, e.g. a campaign shard index),
-// fsync'd, renamed over <path>, and the directory entry is fsync'd, so a
-// crash at any point leaves either the previous or the new complete
-// checkpoint -- never a torn one.  Stale tmp files from a previous crash
-// are removed on open; cleanup is tag-aware, so per-shard checkpoints of
-// one campaign sharing a directory (or even a path) can never delete each
-// other's in-flight tmp files.
+// One store serves both campaign modes.  The file is plain text, diffable,
+// and crash-durable: the full state is rewritten through
+// util::write_durably, so a crash at any point leaves either the previous
+// or the new complete checkpoint -- never a torn one.  Stale tmp files of
+// a previous crash are removed on open; cleanup is tag-aware (the tag is
+// e.g. a shard index), so per-shard checkpoints sharing a directory, or
+// even a path, never delete each other's in-flight tmp files.
 //
-//   xtest-checkpoint v2
+// Both formats share one header and differ only in their slot codec:
+//
+//   <magic line>
 //   key <free-form campaign identity line>
 //   crc <8 hex digits over the two lines above>
+//
+// kVerdicts ("xtest-checkpoint v2"): off-line verdicts, one group per
+// section in registration order:
+//
 //   section <name> <count>
 //   <count verdict chars: U D T E, '.' = pending>
 //   crc <8 hex digits over the section header + slot line>
 //
-// Every line group carries a CRC-32 trailer, which makes the file
-// *salvageable*: a load that finds a truncated or corrupted tail keeps the
-// longest valid prefix of sections (dropping only the damaged suffix,
-// reported via salvage()) instead of throwing the whole run away.  A
-// legacy v1 file (no CRCs) still loads; the next flush rewrites it as v2.
+// kOnlineOutcomes ("xtest-online-checkpoint v1"): full on-line outcomes,
+// one line per completed slot in (section name, index) order:
+//
+//   slot <section> <index> <V> <latency> <rounds> <hb> <late> <missed> <crc>
+//   (<crc>: 8 hex digits over the line up to the space before it)
+//
+// Every group or line carries a CRC-32 trailer, which makes the file
+// *salvageable*: a load keeps the longest valid prefix and drops only a
+// truncated or corrupted tail (reported via salvage()).  A file cut inside
+// its header restarts cleanly.  A legacy v1 verdict file (no CRCs) still
+// loads; the next flush rewrites it as v2.
 //
 // Sections let one file cover a multi-session campaign (one section per
 // session program).  The key line guards against resuming with the wrong
@@ -40,7 +51,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/verdict.h"
@@ -54,32 +64,29 @@ struct SalvageReport {
   bool salvaged = false;
   /// Sections recovered intact (the valid prefix).
   std::size_t sections_kept = 0;
-  /// Section headers seen in the dropped tail (damaged or unverifiable).
-  std::size_t sections_dropped = 0;
   /// Completed verdict chars visible in the dropped tail: work lost to
   /// the corruption that the resumed campaign re-simulates.
   std::size_t dropped_slots = 0;
 };
 
+/// The record type a checkpoint holds, i.e. its slot codec on disk.
+enum class CheckpointFormat {
+  kVerdicts,        ///< off-line verdicts: "xtest-checkpoint v2"
+  kOnlineOutcomes,  ///< on-line outcomes: "xtest-online-checkpoint v1"
+};
+
 class CampaignCheckpoint {
  public:
-  /// Opens `path`: removes stale tmp files from a previous crash, then
-  /// loads the existing checkpoint when the file exists.  A damaged file
-  /// is salvaged (see salvage()); std::runtime_error is thrown only for a
-  /// file that is not a checkpoint at all, an unreadable file, or a
-  /// CRC-valid key mismatch.  `flush_every` is the number of record()
-  /// calls between automatic atomic flushes.  `tag` (e.g. "s3" for shard
-  /// 3) namespaces the tmp files: this instance writes
-  /// "<path>.tmp.<tag>.<pid>" and its stale-tmp cleanup removes only tmps
-  /// carrying the same tag, so concurrent worker processes with their own
-  /// tags cannot delete each other's in-flight writes.  An untagged
-  /// checkpoint writes "<path>.tmp.<pid>" and cleans only untagged tmps.
+  /// Opens `path`: removes this tag's stale tmp files from a previous
+  /// crash, then loads the existing checkpoint when the file exists.  A
+  /// damaged file is salvaged (see salvage()); std::runtime_error is
+  /// thrown only for a file that is not a `format` checkpoint at all, an
+  /// unreadable file, or a CRC-valid key mismatch.  `flush_every` is the
+  /// number of record() calls between automatic atomic flushes; `tag`
+  /// (e.g. "s3" for shard 3) namespaces the tmp files.
   CampaignCheckpoint(std::string path, std::string key,
-                     std::size_t flush_every = 32, std::string tag = "");
-
-  const std::string& path() const { return path_; }
-  const std::string& key() const { return key_; }
-  const std::string& tag() const { return tag_; }
+                     std::size_t flush_every = 32, std::string tag = "",
+                     CheckpointFormat format = CheckpointFormat::kVerdicts);
 
   /// Result of the constructor's load: clean, fresh, or salvaged.
   const SalvageReport& salvage() const { return salvage_; }
@@ -89,17 +96,21 @@ class CampaignCheckpoint {
   /// new.  Throws if the stored section has a different slot count.
   std::vector<std::optional<Verdict>> restore(const std::string& section,
                                               std::size_t count);
+  /// restore() for the on-line format: the full stored outcomes.
+  std::vector<std::optional<OnlineOutcome>> restore_outcomes(
+      const std::string& section, std::size_t count);
 
-  /// Records one completed verdict.  Thread-safe; flushes the whole state
-  /// atomically every `flush_every` records.  A *periodic* flush that
-  /// fails (ENOSPC, injected fault) is swallowed and counted in
-  /// flush_failures() -- the campaign's in-memory verdicts outrank one
-  /// missed flush, and the next flush retries.  The section must have
-  /// been registered via restore().
+  /// Records one completed slot of a section registered by restore().
+  /// Thread-safe; flushes the whole state every `flush_every` records.  A
+  /// *periodic* flush that fails (ENOSPC, injected fault) is counted in
+  /// flush_failures() and retried `flush_every` records later: in-memory
+  /// records outrank one missed flush.
   void record(const std::string& section, std::size_t index, Verdict v);
+  void record(const std::string& section, std::size_t index,
+              const OnlineOutcome& outcome);
 
-  /// Durable write: tmp + fsync + rename (+ directory fsync).  Throws on
-  /// failure.  Thread-safe.
+  /// Durable write (util::write_durably, fault sites "checkpoint.open",
+  /// ".write", ".fsync", ".rename").  Throws on failure.  Thread-safe.
   void flush();
 
   /// Periodic flushes from record() that failed and were deferred.
@@ -109,25 +120,35 @@ class CampaignCheckpoint {
   std::size_t completed() const;
 
  private:
+  struct Section {
+    std::string name;
+    /// Verdict chars as in the kVerdicts format, '.' = pending.
+    std::vector<char> slots;
+    /// kOnlineOutcomes only: the full record behind each completed slot.
+    std::vector<OnlineOutcome> outcomes;
+  };
+
   void load(const std::string& text);
-  void load_v2(const std::vector<std::string>& lines);
-  void load_v1(const std::vector<std::string>& lines);
+  void load_verdicts(const std::vector<std::string>& lines, std::size_t i,
+                     bool v1);
+  void load_outcomes(const std::vector<std::string>& lines, std::size_t i);
   void drop_tail(const std::vector<std::string>& lines, std::size_t from);
-  void cleanup_stale_tmps() const;
   void flush_locked();
   std::string render_locked() const;
-  std::vector<char>* find_locked(const std::string& section);
+  Section* find_locked(const std::string& section);
+  Section& restore_locked(const std::string& section, std::size_t count);
 
   std::string path_;
   std::string key_;
   std::string tag_;
+  CheckpointFormat format_;
   std::size_t flush_every_;
   std::size_t dirty_ = 0;
   std::size_t flush_failures_ = 0;
   SalvageReport salvage_;
   mutable std::mutex mu_;
-  /// Insertion-ordered sections; slot chars as in the file format.
-  std::vector<std::pair<std::string, std::vector<char>>> sections_;
+  /// Registration-ordered sections.
+  std::vector<Section> sections_;
 };
 
 }  // namespace xtest::sim

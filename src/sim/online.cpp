@@ -1,59 +1,17 @@
 #include "sim/online.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
-#include <utility>
 
-#include "cpu/microcode.h"
 #include "sbst/slice.h"
+#include "sim/campaign_driver.h"
 #include "sim/signature.h"
-#include "util/crc32.h"
 #include "util/fault_injector.h"
-#include "util/retry.h"
 
 namespace xtest::sim {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-const xtalk::RcNetwork& nominal_net(const soc::System& system,
-                                    soc::BusKind bus) {
-  switch (bus) {
-    case soc::BusKind::kAddress: return system.nominal_address_network();
-    case soc::BusKind::kData: return system.nominal_data_network();
-    case soc::BusKind::kControl: return system.nominal_control_network();
-  }
-  return system.nominal_address_network();
-}
-
-void apply_defect(soc::System& system, soc::BusKind bus,
-                  const xtalk::Defect& defect) {
-  const xtalk::RcNetwork net = defect.apply(nominal_net(system, bus));
-  switch (bus) {
-    case soc::BusKind::kAddress: system.set_address_network(net); break;
-    case soc::BusKind::kData: system.set_data_network(net); break;
-    case soc::BusKind::kControl: system.set_control_network(net); break;
-  }
-}
 
 /// What the tester sees at one slice boundary: the response cells unloaded
 /// from the *suspended* slice memory, the completion status, and the
@@ -65,16 +23,22 @@ struct RoundSnap {
   std::uint64_t global_cycles = 0;
 };
 
-RoundSnap snap_round(const sbst::ProgramSlice& slice,
-                     const sbst::TestProgram& program,
-                     std::uint64_t global_cycles) {
+/// Runs one interleaved round -- a functional window, then a self-test
+/// slice -- and snapshots the tester's view at its boundary.
+RoundSnap run_round(soc::InterleavedScheduler& sched, sbst::ProgramSlice& slice,
+                    soc::System& system, const sbst::TestProgram& program,
+                    std::uint64_t slice_cycles) {
+  sched.run_functional_window();
+  sched.begin_test_slice();
+  const std::uint64_t before = slice.cycles();
+  sched.end_test_slice(slice.run(system, slice_cycles).cycles - before);
   RoundSnap snap;
   snap.values.reserve(program.response_cells.size());
   for (cpu::Addr a : program.response_cells)
     snap.values.push_back(slice.memory_at(a));
   snap.halted = slice.halted();
   snap.reason = slice.reason();
-  snap.global_cycles = global_cycles;
+  snap.global_cycles = sched.global_cycles();
   return snap;
 }
 
@@ -82,8 +46,11 @@ RoundSnap snap_round(const sbst::ProgramSlice& slice,
 /// off-line gold run.
 constexpr std::uint64_t kGoldBudget = 1'000'000;
 
-void fill_interference(const soc::InterleavedScheduler& sched,
-                       OnlineOutcome& out) {
+/// Ends a schedule and copies its interference counters into `out`.
+void finish_schedule(soc::InterleavedScheduler& sched, OnlineOutcome& out,
+                     std::uint64_t& global_cycles) {
+  sched.finish();
+  global_cycles = sched.global_cycles();
   out.rounds = sched.rounds();
   const soc::InterferenceCounters& c = sched.interference();
   out.heartbeats = c.heartbeats;
@@ -104,27 +71,17 @@ std::vector<RoundSnap> run_gold_schedule(soc::System& system,
   sbst::ProgramSlice slice(program);
   std::vector<RoundSnap> rounds;
   for (;;) {
-    sched.run_functional_window();
-    sched.begin_test_slice();
-    const std::uint64_t before = slice.cycles();
-    const soc::RunResult rr = slice.run(system, online.slice_cycles);
-    sched.end_test_slice(rr.cycles - before);
-    rounds.push_back(snap_round(slice, program, sched.global_cycles()));
+    rounds.push_back(
+        run_round(sched, slice, system, program, online.slice_cycles));
     if (slice.halted()) break;
-    if (slice.cycles() >= kGoldBudget) {
-      system.clear_mmio();
+    if (slice.cycles() >= kGoldBudget)
       throw std::runtime_error(
           "gold on-line run did not complete; bad program");
-    }
   }
-  if (slice.reason() != cpu::HaltReason::kHltInstruction) {
-    system.clear_mmio();
+  if (slice.reason() != cpu::HaltReason::kHltInstruction)
     throw std::runtime_error(
         "gold on-line run halted abnormally; bad program");
-  }
-  sched.finish();
-  fill_interference(sched, out);
-  global_cycles = sched.global_cycles();
+  finish_schedule(sched, out, global_cycles);
   return rounds;
 }
 
@@ -141,19 +98,15 @@ OnlineOutcome simulate_one_online(soc::System& system,
                                   const std::vector<RoundSnap>& gold,
                                   std::uint64_t deadline_ms,
                                   std::uint64_t& global_cycles) {
-  apply_defect(system, bus, defect);
+  detail::apply_defect(system, bus, defect);
   try {
     soc::InterleavedScheduler sched(system, online, workload);
     sbst::ProgramSlice slice(program);
     OnlineOutcome out;
-    const auto start = Clock::now();
+    const auto start = std::chrono::steady_clock::now();
     for (std::size_t r = 0; r < gold.size(); ++r) {
-      sched.run_functional_window();
-      sched.begin_test_slice();
-      const std::uint64_t before = slice.cycles();
-      const soc::RunResult rr = slice.run(system, online.slice_cycles);
-      sched.end_test_slice(rr.cycles - before);
-      const RoundSnap snap = snap_round(slice, program, sched.global_cycles());
+      const RoundSnap snap =
+          run_round(sched, slice, system, program, online.slice_cycles);
       const RoundSnap& g = gold[r];
       const bool value_div = snap.values != g.values;
       const bool halt_div =
@@ -173,7 +126,7 @@ OnlineOutcome simulate_one_online(soc::System& system,
       if (deadline_ms > 0) {
         const auto elapsed =
             std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - start)
+                std::chrono::steady_clock::now() - start)
                 .count();
         if (static_cast<std::uint64_t>(elapsed) >= deadline_ms ||
             util::FaultInjector::global().fire("campaign.deadline"))
@@ -183,9 +136,7 @@ OnlineOutcome simulate_one_online(soc::System& system,
               std::to_string(deadline_ms) + " ms)");
       }
     }
-    sched.finish();
-    fill_interference(sched, out);
-    global_cycles = sched.global_cycles();
+    finish_schedule(sched, out, global_cycles);
     system.clear_defects();
     return out;
   } catch (...) {
@@ -193,230 +144,6 @@ OnlineOutcome simulate_one_online(soc::System& system,
     system.clear_defects();  // keep the worker's simulator reusable
     throw;
   }
-}
-
-// ---------------------------------------------------------------------------
-// On-line checkpoint: one line per completed defect carrying the full
-// outcome (verdict char, latency, rounds, interference), each protected by
-// its own CRC-32 trailer.  A damaged or truncated tail drops only the
-// lines from the first bad one on (prefix salvage); the atomic
-// tmp+fsync+rename write pattern and the fault-injection sites match
-// sim/checkpoint.cpp, so the existing chaos machinery exercises this
-// format too.
-//
-//   xtest-online-checkpoint v1
-//   key <free-form campaign identity line>
-//   crc <8 hex digits over the two lines above>
-//   slot <section> <index> <V> <latency> <rounds> <hb> <late> <missed> \
-//       <8 hex digits over the line prefix>
-
-constexpr const char* kOnlineMagic = "xtest-online-checkpoint v1";
-
-std::string crc_hex(const std::string& text) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%08x",
-                util::crc32(text.data(), text.size()));
-  return buf;
-}
-
-class OnlineCheckpoint {
- public:
-  OnlineCheckpoint(std::string path, std::string key, std::size_t flush_every)
-      : path_(std::move(path)),
-        key_(std::move(key)),
-        flush_every_(flush_every > 0 ? flush_every : 1) {
-    load();
-  }
-
-  bool salvaged() const { return salvaged_; }
-  std::size_t dropped_slots() const { return dropped_; }
-  std::size_t flush_failures() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return flush_failures_;
-  }
-
-  /// Previously completed outcomes of `section` (nullopt = pending).
-  std::vector<std::optional<OnlineOutcome>> restore(
-      const std::string& section, std::size_t count) {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::optional<OnlineOutcome>> out(count);
-    for (const auto& [where, outcome] : slots_) {
-      if (where.first != section || where.second >= count) continue;
-      out[where.second] = outcome;
-    }
-    return out;
-  }
-
-  /// Records one completed outcome; flushes every `flush_every` records
-  /// (a failed periodic flush is deferred, like the off-line checkpoint).
-  void record(const std::string& section, std::size_t index,
-              const OnlineOutcome& outcome) {
-    std::lock_guard<std::mutex> lock(mu_);
-    slots_[{section, index}] = outcome;
-    if (++dirty_ >= flush_every_) {
-      try {
-        flush_locked();
-      } catch (const std::exception&) {
-        ++flush_failures_;
-      }
-    }
-  }
-
-  void flush() {
-    std::lock_guard<std::mutex> lock(mu_);
-    flush_locked();
-  }
-
- private:
-  static std::string slot_prefix(const std::string& section,
-                                 std::size_t index,
-                                 const OnlineOutcome& o) {
-    std::ostringstream os;
-    os << "slot " << section << ' ' << index << ' ' << to_char(o.verdict)
-       << ' ' << o.detection_latency_cycles << ' ' << o.rounds << ' '
-       << o.heartbeats << ' ' << o.deadlines_late << ' '
-       << o.deadlines_missed;
-    return os.str();
-  }
-
-  void load() {
-    std::ifstream in(path_);
-    if (!in.is_open()) return;  // fresh campaign
-    std::string line;
-    if (!std::getline(in, line) || line != kOnlineMagic)
-      throw std::runtime_error("online checkpoint " + path_ +
-                               ": not an online checkpoint file");
-    std::string key_line;
-    if (!std::getline(in, key_line) || key_line.rfind("key ", 0) != 0)
-      throw std::runtime_error("online checkpoint " + path_ +
-                               ": missing key line");
-    std::string crc_line;
-    if (!std::getline(in, crc_line) ||
-        crc_line != "crc " + crc_hex(std::string(kOnlineMagic) + '\n' +
-                                     key_line + '\n')) {
-      // Damaged header: the whole file is untrusted; start fresh.
-      salvaged_ = true;
-      return;
-    }
-    const std::string stored_key = key_line.substr(4);
-    if (stored_key != key_)
-      throw std::runtime_error(
-          "online checkpoint " + path_ + ": key mismatch\n  stored:  " +
-          stored_key + "\n  current: " + key_);
-    while (std::getline(in, line)) {
-      // "<prefix> <hex8>": split the trailer off and verify it.
-      const std::size_t cut = line.find_last_of(' ');
-      if (cut == std::string::npos || line.size() - cut != 9 ||
-          line.rfind("slot ", 0) != 0 ||
-          line.substr(cut + 1) != crc_hex(line.substr(0, cut))) {
-        salvaged_ = true;
-        ++dropped_;
-        while (std::getline(in, line)) ++dropped_;  // drop the rest
-        break;
-      }
-      std::istringstream is(line.substr(5, cut - 5));
-      std::string section;
-      std::size_t index = 0;
-      char vc = '?';
-      OnlineOutcome o;
-      is >> section >> index >> vc >> o.detection_latency_cycles >>
-          o.rounds >> o.heartbeats >> o.deadlines_late >> o.deadlines_missed;
-      Verdict v;
-      if (!is || !verdict_from_char(vc, v)) {
-        salvaged_ = true;
-        ++dropped_;
-        while (std::getline(in, line)) ++dropped_;
-        break;
-      }
-      o.verdict = v;
-      slots_[{section, index}] = o;
-    }
-  }
-
-  std::string render_locked() const {
-    std::ostringstream os;
-    const std::string header =
-        std::string(kOnlineMagic) + '\n' + "key " + key_ + '\n';
-    os << header << "crc " << crc_hex(header) << '\n';
-    for (const auto& [where, outcome] : slots_) {
-      const std::string prefix =
-          slot_prefix(where.first, where.second, outcome);
-      os << prefix << ' ' << crc_hex(prefix) << '\n';
-    }
-    return os.str();
-  }
-
-  void flush_locked() {
-    util::FaultInjector& inj = util::FaultInjector::global();
-    const std::string data = render_locked();
-    const std::string tmp =
-        path_ + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    int fd = -1;
-    try {
-      inj.maybe_fail("checkpoint.open");
-      fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
-      if (fd < 0)
-        throw std::runtime_error("online checkpoint: cannot open " + tmp +
-                                 ": " + std::strerror(errno));
-      inj.maybe_fail("checkpoint.write");
-      if (!util::write_full(fd, data.data(), data.size()))
-        throw std::runtime_error("online checkpoint: write failed for " +
-                                 tmp + ": " + std::strerror(errno));
-      inj.maybe_fail("checkpoint.fsync");
-      if (::fsync(fd) != 0)
-        throw std::runtime_error("online checkpoint: fsync failed for " +
-                                 tmp + ": " + std::strerror(errno));
-      if (::close(fd) != 0) {
-        fd = -1;
-        throw std::runtime_error("online checkpoint: close failed for " +
-                                 tmp + ": " + std::strerror(errno));
-      }
-      fd = -1;
-      inj.maybe_fail("checkpoint.rename");
-      if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-        throw std::runtime_error("online checkpoint: cannot rename " + tmp +
-                                 " to " + path_ + ": " +
-                                 std::strerror(errno));
-    } catch (...) {
-      if (fd >= 0) ::close(fd);
-      ::unlink(tmp.c_str());
-      throw;
-    }
-    const std::filesystem::path parent =
-        std::filesystem::path(path_).parent_path();
-    const std::string dir = parent.empty() ? "." : parent.string();
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dfd >= 0) {
-      ::fsync(dfd);
-      ::close(dfd);
-    }
-    dirty_ = 0;
-  }
-
-  std::string path_;
-  std::string key_;
-  std::size_t flush_every_;
-  std::size_t dirty_ = 0;
-  std::size_t flush_failures_ = 0;
-  bool salvaged_ = false;
-  std::size_t dropped_ = 0;
-  mutable std::mutex mu_;
-  /// Keyed and rendered in (section, index) order, so the file is
-  /// deterministic for a given completed set.
-  std::map<std::pair<std::string, std::size_t>, OnlineOutcome> slots_;
-};
-
-void absorb_system(const soc::System& system, soc::CacheCounters& cache,
-                   soc::TierCounters& tier) {
-  const soc::CacheCounters c = system.transition_cache_counters();
-  cache.hits += c.hits;
-  cache.misses += c.misses;
-  const soc::TierCounters t = system.tier_counters();
-  tier.decoded_programs += t.decoded_programs;
-  tier.decode_cache_hits += t.decode_cache_hits;
-  tier.jit_blocks += t.jit_blocks;
-  tier.jit_bailouts += t.jit_bailouts;
 }
 
 }  // namespace
@@ -448,7 +175,6 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
                                   soc::BusKind bus,
                                   const xtalk::DefectLibrary& library,
                                   const CampaignOptions& options) {
-  const auto start = Clock::now();
   if (options.shard.count > 1)
     throw std::invalid_argument(
         "on-line campaigns do not shard: the interleaved schedule is one "
@@ -456,208 +182,51 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
   if (online.slice_cycles == 0 || online.workload_cycles == 0)
     throw std::invalid_argument(
         "on-line campaign: slice_cycles and workload_cycles must be > 0");
-  const std::size_t n = library.size();
   const soc::OnlineWorkload workload = soc::make_default_workload();
-  const auto notify_progress = [&options] {
-    if (options.progress) options.progress();
-  };
-
-  soc::CacheCounters xfer_counters;
-  soc::TierCounters tier_counters;
-  // The test program is fixed across defects: pre-decode once and pin on
-  // every simulator (same policy and injector exemption as off-line).
-  std::shared_ptr<const cpu::MicroProgram> micro;
-  if (config.exec_tier != cpu::ExecTier::kReference &&
-      !util::FaultInjector::global().armed()) {
-    bool built = false;
-    micro = cpu::DecodeCache::global().obtain(program.image, &built);
-    if (built)
-      ++tier_counters.decoded_programs;
-    else
-      ++tier_counters.decode_cache_hits;
-  }
-
   OnlineResult result;
-  result.outcomes.assign(n, OnlineOutcome{});
-  std::vector<std::uint64_t> run_cycles(n, 0);
-  std::uint64_t gold_cycles = 0;
   std::vector<RoundSnap> gold_rounds;
-  {
-    soc::System gold_system(config);
-    gold_system.set_micro_program(micro);
-    gold_rounds = run_gold_schedule(gold_system, online, workload, program,
-                                    result.gold, gold_cycles);
-    absorb_system(gold_system, xfer_counters, tier_counters);
-  }
 
-  std::vector<std::uint8_t> restored(n, 0);
-  std::size_t restored_count = 0;
-  std::unique_ptr<OnlineCheckpoint> checkpoint;
-  if (!options.checkpoint_path.empty()) {
-    checkpoint = std::make_unique<OnlineCheckpoint>(
-        options.checkpoint_path,
-        options.checkpoint_key.empty()
-            ? online_checkpoint_key(bus, library, online, config.electrical)
-            : options.checkpoint_key,
-        options.checkpoint_every);
-    if (checkpoint->salvaged() && options.stats != nullptr) {
-      options.stats->salvaged_sections += 1;
-      options.stats->dropped_slots += checkpoint->dropped_slots();
-      options.stats->error_log.push_back(
-          "online checkpoint " + options.checkpoint_path +
-          ": dropped " + std::to_string(checkpoint->dropped_slots()) +
-          " completed slot(s) from a corrupt tail");
-    }
-    const auto slots = checkpoint->restore(options.checkpoint_section, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!slots[i]) continue;
-      result.outcomes[i] = *slots[i];
-      restored[i] = 1;
-      ++restored_count;
-    }
-  }
-
-  std::atomic<bool> killed{false};
-  std::atomic<bool> crashed{false};
-  const auto cancelled = [&] {
-    return killed.load(std::memory_order_relaxed) ||
-           (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed));
+  detail::CampaignMode<OnlineOutcome> mode;
+  mode.default_key =
+      online_checkpoint_key(bus, library, online, config.electrical);
+  mode.gold = [&](detail::GoldStep<OnlineOutcome>& step) {
+    std::uint64_t cycles = 0;
+    gold_rounds = run_gold_schedule(step.system, online, workload,
+                                    program, result.gold, cycles);
+    return cycles;
   };
-  std::atomic<std::size_t> simulated{0};
-
-  const unsigned workers = options.parallel.resolve(n);
-  std::vector<std::unique_ptr<soc::System>> systems(workers);
-  const std::vector<util::ItemError> errors = util::parallel_for_items(
-      n, options.parallel, [&](std::size_t i, unsigned w) {
-        if (restored[i] || cancelled()) return;
-        if (!systems[w]) {
-          systems[w] = std::make_unique<soc::System>(config);
-          systems[w]->set_micro_program(micro);
-        }
-        result.outcomes[i] = simulate_one_online(
-            *systems[w], online, workload, program, bus, library[i],
-            gold_rounds, options.defect_deadline_ms, run_cycles[i]);
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        if (checkpoint)
-          checkpoint->record(options.checkpoint_section, i,
-                             result.outcomes[i]);
-        notify_progress();
-        util::FaultInjector& inj = util::FaultInjector::global();
-        if (inj.fire("campaign.kill")) killed.store(true);
-        if (inj.fire("campaign.crash")) {
-          crashed.store(true);
-          killed.store(true);
-        }
-      });
-
-  for (const std::unique_ptr<soc::System>& s : systems) {
-    if (!s) continue;
-    absorb_system(*s, xfer_counters, tier_counters);
-  }
-
-  // Quarantine: one serial retry on a fresh simulator, then kSimError.
-  std::size_t retries = 0;
-  for (const util::ItemError& e : errors) {
-    if (cancelled()) break;
-    if (restored[e.index]) continue;
-    std::string message = e.message;
-    bool recovered = false;
-    if (options.retry_errors) {
-      ++retries;
-      soc::System system(config);
-      system.set_micro_program(micro);
-      try {
-        result.outcomes[e.index] = simulate_one_online(
-            system, online, workload, program, bus, library[e.index],
-            gold_rounds, options.defect_deadline_ms, run_cycles[e.index]);
-        recovered = true;
-      } catch (const std::exception& retry_error) {
-        message = retry_error.what();
-      } catch (...) {
-        message = "unknown exception";
-      }
-      absorb_system(system, xfer_counters, tier_counters);
-    }
-    if (!recovered) {
-      result.outcomes[e.index] = OnlineOutcome{};
-      result.outcomes[e.index].verdict = Verdict::kSimError;
-      run_cycles[e.index] = 0;
-      if (options.stats != nullptr)
-        options.stats->error_log.push_back(
-            "defect " + std::to_string(e.index) + ": " + message);
-    }
-    if (checkpoint)
-      checkpoint->record(options.checkpoint_section, e.index,
-                         result.outcomes[e.index]);
-    simulated.fetch_add(1, std::memory_order_relaxed);
-    notify_progress();
-  }
-
-  const bool interrupted = cancelled();
-  if (checkpoint && !crashed.load()) {
-    try {
-      checkpoint->flush();
-    } catch (const std::exception& e) {
-      if (options.stats != nullptr)
-        options.stats->error_log.push_back(
-            std::string("online checkpoint final flush failed: ") +
-            e.what());
-    }
-  }
-
-  result.verdicts.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    result.verdicts[i] = result.outcomes[i].verdict;
-
-  if (options.stats != nullptr) {
-    util::CampaignStats& stats = *options.stats;
-    stats.threads = workers;
-    stats.defects_simulated += simulated.load();
-    stats.restored_from_checkpoint += restored_count;
-    stats.retries += retries;
-    stats.simulated_cycles += gold_cycles;
-    for (std::uint64_t c : run_cycles) stats.simulated_cycles += c;
-    if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
-    stats.cache_hits += xfer_counters.hits;
-    stats.cache_misses += xfer_counters.misses;
-    stats.decoded_programs += tier_counters.decoded_programs;
-    stats.decode_cache_hits += tier_counters.decode_cache_hits;
-    stats.jit_blocks += tier_counters.jit_blocks;
-    stats.jit_bailouts += tier_counters.jit_bailouts;
-    // The on-line aggregates are sums over the complete outcome vector
-    // (restored slots included), so an interrupted-then-resumed campaign
-    // reports exactly the uninterrupted numbers.
-    if (!interrupted) {
-      tally_verdicts(result.verdicts, stats);
-      stats.online_rounds += result.gold.rounds;
-      stats.online_mmio_heartbeats += result.gold.heartbeats;
-      stats.online_deadlines_late += result.gold.deadlines_late;
-      stats.online_deadlines_missed += result.gold.deadlines_missed;
-      for (const OnlineOutcome& o : result.outcomes) {
-        stats.online_rounds += o.rounds;
-        stats.online_mmio_heartbeats += o.heartbeats;
-        stats.online_deadlines_late += o.deadlines_late;
-        stats.online_deadlines_missed += o.deadlines_missed;
-        if (is_detected(o.verdict)) {
-          stats.online_detection_latency_cycles += o.detection_latency_cycles;
-          ++stats.online_latency_samples;
-        }
+  mode.simulate = [&](std::size_t i, soc::System& system,
+                      std::uint64_t& cycles) {
+    return simulate_one_online(system, online, workload, program, bus,
+                               library[i], gold_rounds,
+                               options.defect_deadline_ms, cycles);
+  };
+  // The on-line aggregates are sums over the complete outcome vector
+  // (restored slots included), so an interrupted-then-resumed campaign
+  // reports exactly the uninterrupted numbers.
+  mode.tally = [&](const std::vector<OnlineOutcome>& outcomes, bool complete,
+                   util::CampaignStats& stats) {
+    if (!complete) return;
+    stats.online_rounds += result.gold.rounds;
+    stats.online_mmio_heartbeats += result.gold.heartbeats;
+    stats.online_deadlines_late += result.gold.deadlines_late;
+    stats.online_deadlines_missed += result.gold.deadlines_missed;
+    for (const OnlineOutcome& o : outcomes) {
+      stats.online_rounds += o.rounds;
+      stats.online_mmio_heartbeats += o.heartbeats;
+      stats.online_deadlines_late += o.deadlines_late;
+      stats.online_deadlines_missed += o.deadlines_missed;
+      if (is_detected(o.verdict)) {
+        stats.online_detection_latency_cycles += o.detection_latency_cycles;
+        ++stats.online_latency_samples;
       }
     }
-    stats.wall_seconds += seconds_since(start);
-  }
-  if (interrupted)
-    throw CampaignInterrupted(
-        "on-line campaign interrupted after " +
-        std::to_string(simulated.load()) + " new outcome(s)" +
-        (checkpoint ? (crashed.load()
-                           ? "; simulated crash, last periodic checkpoint "
-                             "flush survives"
-                           : "; checkpoint flushed to " +
-                                 options.checkpoint_path)
-                    : "; no checkpoint configured") +
-        " -- rerun the same command to resume");
+  };
+  result.outcomes =
+      detail::run_campaign(config, program, library.size(), options, mode);
+  result.verdicts.reserve(result.outcomes.size());
+  for (const OnlineOutcome& o : result.outcomes)
+    result.verdicts.push_back(o.verdict);
   return result;
 }
 

@@ -36,24 +36,9 @@
 
 namespace xtest::sim {
 
-/// Per-defect outcome of an on-line campaign round sequence.
-struct OnlineOutcome {
-  Verdict verdict = Verdict::kUndetected;
-  /// Global-clock cycles from activation to the first diverging slice
-  /// boundary; 0 for an undetected defect.
-  std::uint64_t detection_latency_cycles = 0;
-  /// Interleaved rounds this defect's schedule executed.
-  std::uint64_t rounds = 0;
-  /// Functional-interference counters of this defect's schedule.
-  std::uint64_t heartbeats = 0;
-  std::uint64_t deadlines_late = 0;
-  std::uint64_t deadlines_missed = 0;
-
-  bool operator==(const OnlineOutcome&) const = default;
-};
-
 /// Result of one on-line campaign: verdicts (same taxonomy as off-line)
-/// plus the per-defect outcomes and the defect-free baseline schedule.
+/// plus the per-defect outcomes (OnlineOutcome, sim/verdict.h) and the
+/// defect-free baseline schedule.
 struct OnlineResult {
   std::vector<Verdict> verdicts;
   std::vector<OnlineOutcome> outcomes;

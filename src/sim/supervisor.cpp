@@ -486,14 +486,7 @@ SupervisorResult Supervisor::run() {
           Verdict v = Verdict::kSimError;
           if (s < sections.size() && sections[s][i].has_value())
             v = *sections[s][i];
-          switch (v) {
-            case Verdict::kDetected: ++result.stats.detected; break;
-            case Verdict::kDetectedByTimeout:
-              ++result.stats.detected_by_timeout;
-              break;
-            case Verdict::kUndetected: ++result.stats.undetected; break;
-            case Verdict::kSimError: ++result.stats.sim_errors; break;
-          }
+          tally_verdicts({v}, result.stats);
         }
       }
       std::string entry =

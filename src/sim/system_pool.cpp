@@ -15,23 +15,22 @@ SystemPool::Lease::~Lease() {
   home_->release(std::move(system_), config_);
 }
 
-soc::CacheCounters SystemPool::Lease::cache_delta() const {
-  const soc::CacheCounters now = system_->transition_cache_counters();
-  return {now.hits - cache0_.hits, now.misses - cache0_.misses};
+void SystemPool::Lease::add_counters(util::CampaignStats& stats) const {
+  const soc::CacheCounters c = system_->transition_cache_counters();
+  const soc::TierCounters t = system_->tier_counters();
+  stats.cache_hits += c.hits - cache0_.hits;
+  stats.cache_misses += c.misses - cache0_.misses;
+  stats.decoded_programs += t.decoded_programs - tiers0_.decoded_programs;
+  stats.decode_cache_hits += t.decode_cache_hits - tiers0_.decode_cache_hits;
+  stats.jit_blocks += t.jit_blocks - tiers0_.jit_blocks;
+  stats.jit_bailouts += t.jit_bailouts - tiers0_.jit_bailouts;
 }
 
-soc::TierCounters SystemPool::Lease::tier_delta() const {
-  const soc::TierCounters now = system_->tier_counters();
-  return {now.decoded_programs - tiers0_.decoded_programs,
-          now.decode_cache_hits - tiers0_.decode_cache_hits,
-          now.jit_blocks - tiers0_.jit_blocks,
-          now.jit_bailouts - tiers0_.jit_bailouts};
-}
-
-SystemPool::Lease SystemPool::acquire(const soc::SystemConfig& config) {
+SystemPool::Lease SystemPool::acquire(const soc::SystemConfig& config,
+                                     bool fresh) {
   Lease lease;
   lease.config_ = config;
-  const bool pooled = config.exec_tier != cpu::ExecTier::kReference &&
+  const bool pooled = !fresh && config.exec_tier != cpu::ExecTier::kReference &&
                       !util::FaultInjector::global().armed();
   if (pooled) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -52,9 +51,11 @@ SystemPool::Lease SystemPool::acquire(const soc::SystemConfig& config) {
 
 void SystemPool::release(std::unique_ptr<soc::System> system,
                          const soc::SystemConfig& config) {
-  // Return the simulator defect-free, unpinned and untraced; its memos
-  // (warm, pooled defects, decode memo) are what the next lease is for.
+  // Return the simulator defect-free, unpinned, untraced and with no MMIO
+  // device mapped; its memos (warm, pooled defects, decode memo) are what
+  // the next lease is for.
   system->clear_defects();
+  system->clear_mmio();
   system->set_micro_program(nullptr);
   system->set_trace(nullptr);
   std::lock_guard<std::mutex> lock(mu_);

@@ -17,8 +17,7 @@
 //
 // Counters: a leased System's transition-cache and tier counters carry
 // history from earlier leases.  Callers that aggregate per-campaign stats
-// must therefore absorb *deltas*; Lease snapshots both counter sets at
-// acquisition for exactly that.
+// must therefore absorb *deltas*; Lease::add_counters does exactly that.
 
 #pragma once
 
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "soc/system.h"
+#include "util/parallel.h"
 
 namespace xtest::sim {
 
@@ -50,12 +50,9 @@ class SystemPool {
     const soc::System* operator->() const { return system_.get(); }
     explicit operator bool() const { return system_ != nullptr; }
 
-    /// Counter values at acquisition; subtract to get this lease's own
-    /// traffic.
-    soc::CacheCounters cache_at_acquire() const { return cache0_; }
-    soc::TierCounters tiers_at_acquire() const { return tiers0_; }
-    soc::CacheCounters cache_delta() const;
-    soc::TierCounters tier_delta() const;
+    /// Adds this lease's own transition-cache and tier counter traffic
+    /// (the counters minus their values at acquisition) onto `stats`.
+    void add_counters(util::CampaignStats& stats) const;
 
    private:
     friend class SystemPool;
@@ -68,8 +65,10 @@ class SystemPool {
 
   /// Leases an idle simulator built with `config`, constructing one when
   /// none is parked.  Bypasses pooling (fresh construct, destroy on
-  /// release) for the reference tier and under an armed fault injector.
-  Lease acquire(const soc::SystemConfig& config);
+  /// release) for the reference tier, under an armed fault injector, and
+  /// when `fresh` asks for a simulator no earlier run has touched (the
+  /// campaign quarantine retry).
+  Lease acquire(const soc::SystemConfig& config, bool fresh = false);
 
   /// Destroys every parked simulator (tests; memory pressure).
   void clear();

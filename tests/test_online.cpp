@@ -260,6 +260,77 @@ TEST(OnlineCampaign, EmptySessionSetRejected) {
                std::runtime_error);
 }
 
+TEST(OnlineCampaign, HeaderTruncatedCheckpointRestartsCleanly) {
+  // A checkpoint cut inside its header -- empty, mid-magic, mid-key line --
+  // is salvage, not a foreign file: the campaign restarts from zero and
+  // lands on the uninterrupted outcomes.
+  const Fixture s = make_fixture(8);
+  sim::CampaignOptions opts;
+  opts.parallel = {1};
+  const sim::OnlineResult ref = sim::run_online_detection(
+      s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+      opts);
+  const std::string ckpt = temp_checkpoint("header_cut");
+  opts.checkpoint_path = ckpt;
+  for (const std::uintmax_t len : {0u, 10u, 29u}) {
+    std::remove(ckpt.c_str());
+    sim::run_online_detection(s.config, s.online, s.program,
+                              soc::BusKind::kAddress, s.library, opts);
+    std::filesystem::resize_file(ckpt, len);
+    util::CampaignStats stats;
+    sim::CampaignOptions resume = opts;
+    resume.stats = &stats;
+    try {
+      const sim::OnlineResult r = sim::run_online_detection(
+          s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+          resume);
+      EXPECT_EQ(r.outcomes, ref.outcomes) << "len=" << len;
+      EXPECT_EQ(stats.restored_from_checkpoint, 0u) << "len=" << len;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "header cut at byte " << len << " threw: " << e.what();
+    }
+  }
+  std::remove(ckpt.c_str());
+}
+
+TEST(CheckpointPacing, FailedPeriodicFlushesArePacedInBothModes) {
+  // With every checkpoint write failing, each live session's store counts
+  // one failed periodic flush per checkpoint_every records in both modes
+  // -- not a full rewrite attempt for every record after the first miss.
+  spec::ScenarioSpec scn;
+  scn.defect_count = 10;
+  const auto sessions = scn.make_sessions();
+  std::size_t live_sessions = 0;
+  for (const auto& session : sessions)
+    live_sessions += !session.program.tests.empty();
+  ASSERT_GT(live_sessions, 1u);
+  const auto lib = scn.make_library();
+  soc::OnlineConfig online;
+  online.enabled = true;
+  InjectorGuard guard;
+  for (const bool on_line : {false, true}) {
+    const std::string ckpt =
+        temp_checkpoint(on_line ? "pacing_online" : "pacing_offline");
+    std::remove(ckpt.c_str());
+    util::CampaignStats stats;
+    sim::CampaignOptions opts;
+    opts.parallel = {2};
+    opts.stats = &stats;
+    opts.checkpoint_path = ckpt;
+    opts.checkpoint_every = 3;
+    util::FaultInjector::global().configure("checkpoint.write%1");
+    if (on_line)
+      sim::run_online_detection_sessions(scn.system, online, sessions,
+                                         scn.bus, lib, opts);
+    else
+      sim::run_detection_sessions(scn.system, sessions, scn.bus, lib, opts);
+    util::FaultInjector::global().disarm();
+    EXPECT_EQ(stats.flush_failures, live_sessions * (10 / 3))
+        << (on_line ? "on-line" : "off-line");
+    std::remove(ckpt.c_str());
+  }
+}
+
 TEST(OnlineCampaign, StatsJsonRoundTripsOnlineCounters) {
   util::CampaignStats stats;
   stats.online_rounds = 7;

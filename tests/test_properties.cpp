@@ -1,6 +1,8 @@
 // Cross-module property and exhaustive tests.
 
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -133,7 +135,6 @@ class MaProperties
 
 TEST_P(MaProperties, GlitchPairsAreComplementaryAcrossTypes) {
   const auto [width, victim] = GetParam();
-  if (victim >= width) GTEST_SKIP();
   const auto gp = xtalk::ma_test(
       width, {victim, xtalk::MafType::kPositiveGlitch,
               xtalk::BusDirection::kCpuToCore});
@@ -154,7 +155,6 @@ TEST_P(MaProperties, GlitchPairsAreComplementaryAcrossTypes) {
 
 TEST_P(MaProperties, FaultyV2DiffersInExactlyTheVictim) {
   const auto [width, victim] = GetParam();
-  if (victim >= width) GTEST_SKIP();
   for (xtalk::MafType t : xtalk::kAllMafTypes) {
     const xtalk::MafFault f{victim, t, xtalk::BusDirection::kCpuToCore};
     const auto pair = xtalk::ma_test(width, f);
@@ -164,10 +164,16 @@ TEST_P(MaProperties, FaultyV2DiffersInExactlyTheVictim) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, MaProperties,
-    ::testing::Combine(::testing::Values(2u, 4u, 8u, 12u, 16u),
-                       ::testing::Values(0u, 1u, 5u, 11u, 15u)));
+/// The (width, victim) grid restricted to real wires: victim < width.
+std::vector<std::tuple<unsigned, unsigned>> ma_grid() {
+  std::vector<std::tuple<unsigned, unsigned>> grid;
+  for (unsigned width : {2u, 4u, 8u, 12u, 16u})
+    for (unsigned victim : {0u, 1u, 5u, 11u, 15u})
+      if (victim < width) grid.emplace_back(width, victim);
+  return grid;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, MaProperties, ::testing::ValuesIn(ma_grid()));
 
 // ---------------------------------------------------------------------------
 // Generated programs round-trip through serialisation and still verify.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -457,47 +458,176 @@ TEST(Checkpoint, V1KeyMismatchStillThrows) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, TruncationAtEveryByteOffsetSalvagesOrRestartsNeverThrows) {
-  // The acceptance bar of the resilience layer: cut a valid v2 file at
-  // *any* byte offset and reopening must yield a usable checkpoint whose
-  // every restored verdict matches what was recorded -- a slot is allowed
-  // to be forgotten (re-simulated on resume), never wrong.
-  const std::string path = temp_path("ckpt_everyoffset_src");
-  std::remove(path.c_str());
-  const Verdict v[4] = {Verdict::kDetected, Verdict::kUndetected,
-                        Verdict::kDetectedByTimeout, Verdict::kSimError};
+// ---------------------------------------------------------------------------
+// Both record formats of the one checkpoint store.
+
+OnlineOutcome outcome(Verdict v, std::uint64_t latency, std::uint64_t rounds,
+                      std::uint64_t heartbeats, std::uint64_t late,
+                      std::uint64_t missed) {
+  OnlineOutcome o;
+  o.verdict = v;
+  o.detection_latency_cycles = latency;
+  o.rounds = rounds;
+  o.heartbeats = heartbeats;
+  o.deadlines_late = late;
+  o.deadlines_missed = missed;
+  return o;
+}
+
+struct FixtureSlot {
+  std::string section;
+  std::size_t index;
+  OnlineOutcome record;  // kVerdicts keeps only the verdict
+};
+
+/// A completed set per format and its exact on-disk bytes.  The fixture
+/// texts pin both formats: files written before the two formats shared
+/// one store must keep loading, and new files must stay readable by them.
+struct FormatCase {
+  CheckpointFormat format;
+  std::string key;
+  std::vector<std::string> sections;  // registration order
+  std::size_t slots_per_section;
+  std::vector<FixtureSlot> completed;
+  std::string fixture;
+};
+
+FormatCase format_case(CheckpointFormat format) {
+  if (format == CheckpointFormat::kVerdicts)
+    return {format,
+            "fixture bus=data count=5",
+            {"session0", "session1"},
+            5,
+            {{"session0", 0, outcome(Verdict::kDetected, 0, 0, 0, 0, 0)},
+             {"session0", 1, outcome(Verdict::kUndetected, 0, 0, 0, 0, 0)},
+             {"session0", 3,
+              outcome(Verdict::kDetectedByTimeout, 0, 0, 0, 0, 0)},
+             {"session1", 2, outcome(Verdict::kSimError, 0, 0, 0, 0, 0)},
+             {"session1", 4, outcome(Verdict::kDetected, 0, 0, 0, 0, 0)}},
+            "xtest-checkpoint v2\n"
+            "key fixture bus=data count=5\n"
+            "crc 5f99c31a\n"
+            "section session0 5\n"
+            "DU.T.\n"
+            "crc 528b6e15\n"
+            "section session1 5\n"
+            "..E.D\n"
+            "crc b077e660\n"};
+  // Sections registered out of name order: the on-line codec renders in
+  // (section name, index) order, so "session10" sorts before "session2".
+  return {format,
+          "fixture bus=addr count=4 online slice=64",
+          {"session0", "session2", "session10"},
+          4,
+          {{"session2", 1, outcome(Verdict::kDetected, 1234, 7, 3, 1, 0)},
+           {"session10", 0,
+            outcome(Verdict::kDetectedByTimeout, 99999, 42, 10, 2, 5)},
+           {"session0", 3, outcome(Verdict::kUndetected, 0, 12, 4, 0, 0)},
+           {"session0", 0, outcome(Verdict::kSimError, 0, 0, 0, 0, 0)}},
+          "xtest-online-checkpoint v1\n"
+          "key fixture bus=addr count=4 online slice=64\n"
+          "crc 13dc5129\n"
+          "slot session0 0 E 0 0 0 0 0 d417ec2e\n"
+          "slot session0 3 U 0 12 4 0 0 f400553b\n"
+          "slot session10 0 T 99999 42 10 2 5 d34d1eba\n"
+          "slot session2 1 D 1234 7 3 1 0 c1a4b9e0\n"};
+}
+
+/// Restores every section of `c` from `ck` as full records (verdict-only
+/// records for kVerdicts), keyed "<section>/<index>".
+std::map<std::string, OnlineOutcome> restore_all(CampaignCheckpoint& ck,
+                                                 const FormatCase& c) {
+  std::map<std::string, OnlineOutcome> out;
+  for (const std::string& section : c.sections) {
+    if (c.format == CheckpointFormat::kVerdicts) {
+      const auto slots = ck.restore(section, c.slots_per_section);
+      for (std::size_t i = 0; i < slots.size(); ++i)
+        if (slots[i])
+          out[section + "/" + std::to_string(i)] =
+              outcome(*slots[i], 0, 0, 0, 0, 0);
+    } else {
+      const auto slots = ck.restore_outcomes(section, c.slots_per_section);
+      for (std::size_t i = 0; i < slots.size(); ++i)
+        if (slots[i]) out[section + "/" + std::to_string(i)] = *slots[i];
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+// gtest names the parameterized cases through PrintTo, which it finds by
+// argument-dependent lookup in the parameter type's namespace.
+void PrintTo(CheckpointFormat format, std::ostream* os) {
+  *os << (format == CheckpointFormat::kVerdicts ? "Verdicts"
+                                                 : "OnlineOutcomes");
+}
+
+namespace {
+
+class CheckpointFormats : public ::testing::TestWithParam<CheckpointFormat> {
+ protected:
+  std::string path(const std::string& name) const {
+    return temp_path(name + (GetParam() == CheckpointFormat::kVerdicts
+                                 ? "_verdicts"
+                                 : "_online"));
+  }
+};
+
+TEST_P(CheckpointFormats, WritesTheFixtureBytesAndRestoresThem) {
+  const FormatCase c = format_case(GetParam());
+  const std::string file = path("ckpt_fixture");
+  std::remove(file.c_str());
   {
-    CampaignCheckpoint ck(path, "k");
-    ck.restore("alpha", 4);
-    ck.restore("beta", 4);
-    for (std::size_t i = 0; i < 4; ++i) {
-      ck.record("alpha", i, v[i]);
-      ck.record("beta", i, v[3 - i]);
+    CampaignCheckpoint ck(file, c.key, 1000, "", c.format);
+    for (const std::string& section : c.sections)
+      ck.restore(section, c.slots_per_section);
+    for (const FixtureSlot& s : c.completed) {
+      if (c.format == CheckpointFormat::kVerdicts)
+        ck.record(s.section, s.index, s.record.verdict);
+      else
+        ck.record(s.section, s.index, s.record);
     }
     ck.flush();
   }
-  const std::string full = read_file(path);
-  ASSERT_GT(full.size(), 40u);
+  EXPECT_EQ(read_file(file), c.fixture);
 
-  const std::string cut_path = temp_path("ckpt_everyoffset_cut");
-  for (std::size_t len = 0; len <= full.size(); ++len) {
-    write_file(cut_path, full.substr(0, len));
+  // A file holding the fixture bytes restores exactly its records.
+  write_file(file, c.fixture);
+  CampaignCheckpoint ck(file, c.key, 1000, "", c.format);
+  EXPECT_FALSE(ck.salvage().salvaged);
+  EXPECT_EQ(ck.completed(), c.completed.size());
+  std::map<std::string, OnlineOutcome> want;
+  for (const FixtureSlot& s : c.completed)
+    want[s.section + "/" + std::to_string(s.index)] = s.record;
+  EXPECT_EQ(restore_all(ck, c), want);
+  std::remove(file.c_str());
+}
+
+TEST_P(CheckpointFormats, TruncationAtEveryByteOffsetSalvagesOrRestartsNeverThrows) {
+  // The acceptance bar of the resilience layer: cut a valid file at *any*
+  // byte offset -- inside the magic line, the key line, a CRC, a slot --
+  // and reopening must yield a usable checkpoint whose every restored
+  // record matches what was recorded: a slot is allowed to be forgotten
+  // (re-simulated on resume), never wrong.
+  const FormatCase c = format_case(GetParam());
+  std::map<std::string, OnlineOutcome> want;
+  for (const FixtureSlot& s : c.completed)
+    want[s.section + "/" + std::to_string(s.index)] = s.record;
+  const std::string cut_path = path("ckpt_everyoffset");
+  for (std::size_t len = 0; len <= c.fixture.size(); ++len) {
+    write_file(cut_path, c.fixture.substr(0, len));
     try {
-      CampaignCheckpoint ck(cut_path, "k");
-      const auto alpha = ck.restore("alpha", 4);
-      const auto beta = ck.restore("beta", 4);
-      for (std::size_t i = 0; i < 4; ++i) {
-        if (alpha[i]) {
-          EXPECT_EQ(*alpha[i], v[i]) << "len=" << len;
-        }
-        if (beta[i]) {
-          EXPECT_EQ(*beta[i], v[3 - i]) << "len=" << len;
-        }
+      CampaignCheckpoint ck(cut_path, c.key, 32, "", c.format);
+      for (const auto& [slot, record] : restore_all(ck, c)) {
+        ASSERT_TRUE(want.count(slot)) << "len=" << len << " slot=" << slot;
+        EXPECT_EQ(record, want.at(slot)) << "len=" << len << " " << slot;
       }
-      if (len + 1 < full.size()) {
+      if (len + 1 < c.fixture.size()) {
         // A real truncation (more than the trailing newline) always cuts
-        // the last group's CRC line: something is salvaged or dropped.
-        EXPECT_TRUE(ck.salvage().salvaged || ck.completed() < 8u)
+        // the last record's CRC: something is salvaged or dropped.
+        EXPECT_TRUE(ck.salvage().salvaged ||
+                    ck.completed() < c.completed.size())
             << "len=" << len;
       }
     } catch (const std::exception& e) {
@@ -505,9 +635,22 @@ TEST(Checkpoint, TruncationAtEveryByteOffsetSalvagesOrRestartsNeverThrows) {
                     << " threw: " << e.what();
     }
   }
-  std::remove(path.c_str());
   std::remove(cut_path.c_str());
 }
+
+TEST_P(CheckpointFormats, StaleTmpOfACrashedWriteIsRemovedOnOpen) {
+  const FormatCase c = format_case(GetParam());
+  const std::string file = path("ckpt_stale_tmp");
+  const std::string stale = file + ".tmp.99999";
+  write_file(stale, "half-written");
+  CampaignCheckpoint ck(file, c.key, 32, "", c.format);
+  EXPECT_FALSE(std::ifstream(stale).good()) << stale;
+  std::remove(file.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Checkpoint, CheckpointFormats,
+                         ::testing::Values(CheckpointFormat::kVerdicts,
+                                           CheckpointFormat::kOnlineOutcomes));
 
 TEST(Checkpoint, ConcurrentRecordsAndFlushesStaySerializable) {
   const std::string path = temp_path("ckpt_concurrent");

@@ -387,6 +387,20 @@ TEST(JobQueue, EnqueueRollsBackWhenPersistFails) {
   std::remove(path.c_str());
 }
 
+TEST(JobQueue, PersistFiresOnlyTheQueueFaultSite) {
+  // The queue shares the checkpoint's durable write but not its fault
+  // sites: an armed checkpoint.* spec must not reject a submit.
+  const std::string path = temp_file("queue_sites");
+  std::remove(path.c_str());
+  JobQueue q(path);
+  util::FaultInjector::global().configure("checkpoint.*");
+  EXPECT_NO_THROW(q.enqueue("kept", 5));
+  util::FaultInjector::global().disarm();
+  JobQueue reloaded(path);
+  EXPECT_EQ(reloaded.load(), 1u);
+  std::remove(path.c_str());
+}
+
 // --- live daemon -----------------------------------------------------------
 
 spec::ScenarioSpec serve_spec(std::size_t defects = 6) {
