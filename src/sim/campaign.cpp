@@ -385,8 +385,12 @@ Verdict simulate_one(soc::System& system, soc::BusKind bus,
 }
 
 /// Transition-major batched pre-screen (the defect-batched fast path).
-/// It runs serially *before* the worker fan-out, so the screened set is a
-/// pure function of the inputs -- identical at every thread count, and
+/// It runs *before* the worker fan-out: the windows are screened on
+/// `parallel`'s threads, each worker with its own DefectBatch, evaluator
+/// and counters, and the screened defects are then completed serially in
+/// ascending index order.  The screened set is a pure function of the
+/// inputs and the completions (checkpoint records, progress hook, kill
+/// sites) come in the same order at every thread count; the screen is
 /// recomputed identically on any resume (restored slots are simply not
 /// gathered), which makes every checkpoint boundary batch-safe.  A lane
 /// whose received word matches the gold word on every unique gold
@@ -399,7 +403,9 @@ Verdict simulate_one(soc::System& system, soc::BusKind bus,
 void batch_screen(detail::GoldStep<Verdict>& step, soc::BusKind bus,
                   const xtalk::DefectLibrary& library,
                   const GoldTransitions& transitions,
-                  std::uint64_t gold_cycles, std::size_t batch_size) {
+                  std::uint64_t gold_cycles, std::size_t batch_size,
+                  const util::ParallelConfig& parallel) {
+  const auto start = std::chrono::steady_clock::now();
   const soc::System& probe = step.system;
   const xtalk::RcNetwork& nominal = nominal_net(probe, bus);
   const xtalk::ErrorModelConfig model_config = bus_model(probe, bus).config();
@@ -409,38 +415,63 @@ void batch_screen(detail::GoldStep<Verdict>& step, soc::BusKind bus,
   for (std::size_t i = 0; i < library.size(); ++i)
     if (step.pending[i] && library[i].width() == nominal.width())
       candidates.push_back(i);
-  std::vector<std::size_t> window;
-  for (std::size_t begin = 0; begin < candidates.size() && !step.cancelled();
-       begin += batch_size) {
-    const std::size_t end = std::min(begin + batch_size, candidates.size());
-    window.assign(candidates.begin() + begin, candidates.begin() + end);
-    const xtalk::DefectBatch batch(nominal, library, window);
-    xtalk::BatchEvaluator evaluator(batch, model_config);
-    std::vector<std::uint8_t> live(window.size(), 1);
-    std::size_t alive = window.size();
-    for (std::size_t t = 0; t < transitions.held.size() && alive > 0; ++t) {
-      ++step.stats.batched_transitions;
-      alive = evaluator.screen(transitions.held[t], transitions.driven[t],
-                               xtalk::BusDirection::kCpuToCore,
-                               transitions.expected[t], live.data());
-    }
-    step.stats.batch_lanes += window.size();
-    step.stats.batch_capacity += batch_size;
-    for (std::size_t l = 0; l < window.size(); ++l) {
-      if (!live[l]) continue;
-      if (step.cancelled()) break;
-      ++step.stats.batch_screened;
-      step.complete(window[l], Verdict::kUndetected, gold_cycles);
-    }
+  const std::size_t windows = (candidates.size() + batch_size - 1) / batch_size;
+  struct Counters {
+    std::uint64_t transitions = 0;
+    std::size_t lanes = 0, capacity = 0;
+  };
+  std::vector<Counters> counters(parallel.resolve(windows));
+  // Lanes of windows a cancelled screen skipped stay dead (never completed).
+  std::vector<std::uint8_t> live(candidates.size(), 0);
+  util::parallel_for_chunks(
+      windows, parallel, [&](std::size_t first, std::size_t last, unsigned w) {
+        Counters& c = counters[w];
+        for (std::size_t k = first; k < last && !step.cancelled(); ++k) {
+          const std::size_t begin = k * batch_size;
+          const std::size_t end =
+              std::min(begin + batch_size, candidates.size());
+          const xtalk::DefectBatch batch(
+              nominal, library,
+              std::vector<std::size_t>(candidates.begin() + begin,
+                                       candidates.begin() + end));
+          xtalk::BatchEvaluator evaluator(batch, model_config);
+          std::uint8_t* lanes = live.data() + begin;
+          std::size_t alive = end - begin;
+          std::fill(lanes, lanes + alive, 1);
+          for (std::size_t t = 0; t < transitions.held.size() && alive > 0;
+               ++t) {
+            ++c.transitions;
+            alive = evaluator.screen(transitions.held[t],
+                                     transitions.driven[t],
+                                     xtalk::BusDirection::kCpuToCore,
+                                     transitions.expected[t], lanes);
+          }
+          c.lanes += end - begin;
+          c.capacity += batch_size;
+        }
+      });
+  for (const Counters& c : counters) {
+    step.stats.batched_transitions += c.transitions;
+    step.stats.batch_lanes += c.lanes;
+    step.stats.batch_capacity += c.capacity;
   }
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    if (!live[k]) continue;
+    if (step.cancelled()) break;
+    ++step.stats.batch_screened;
+    step.complete(candidates[k], Verdict::kUndetected, gold_cycles);
+  }
+  step.stats.screen_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
 }
 
 }  // namespace
 
-xtalk::DefectLibrary make_defect_library(const soc::SystemConfig& config,
-                                         soc::BusKind bus, std::size_t count,
-                                         std::uint64_t seed,
-                                         double sigma_pct) {
+xtalk::DefectLibrary make_defect_library(
+    const soc::SystemConfig& config, soc::BusKind bus, std::size_t count,
+    std::uint64_t seed, double sigma_pct,
+    const util::ParallelConfig& parallel) {
   const soc::System system(config);
   xtalk::DefectConfig dc;
   dc.sigma_pct = sigma_pct;
@@ -451,7 +482,8 @@ xtalk::DefectLibrary make_defect_library(const soc::SystemConfig& config,
   }
   dc.count = count;
   dc.seed = seed;
-  return xtalk::DefectLibrary::generate(nominal_net(system, bus), dc);
+  return xtalk::DefectLibrary::generate(nominal_net(system, bus), dc,
+                                        parallel);
 }
 
 std::string default_checkpoint_key(soc::BusKind bus,
@@ -529,7 +561,7 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
     budget = gold.cycles * options.cycle_factor + 1000;
     if (batching)
       batch_screen(step, bus, library, *transitions, gold.cycles,
-                   options.batch_size);
+                   options.batch_size, options.parallel);
     return gold.cycles;
   };
   mode.simulate = [&](std::size_t i, soc::System& system,

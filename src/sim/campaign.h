@@ -33,11 +33,12 @@ namespace xtest::sim {
 
 /// Builds the paper's defect library for one of the system's buses:
 /// Gaussian perturbation with `sigma_pct`, acceptance at the system's
-/// calibrated Cth for that bus.
-xtalk::DefectLibrary make_defect_library(const soc::SystemConfig& config,
-                                         soc::BusKind bus, std::size_t count,
-                                         std::uint64_t seed,
-                                         double sigma_pct = 50.0);
+/// calibrated Cth for that bus.  Generated on `parallel`'s threads; the
+/// library is the same at every thread count.
+xtalk::DefectLibrary make_defect_library(
+    const soc::SystemConfig& config, soc::BusKind bus, std::size_t count,
+    std::uint64_t seed, double sigma_pct = 50.0,
+    const util::ParallelConfig& parallel = {});
 
 /// Thrown when a campaign is cancelled cooperatively (operator SIGINT /
 /// SIGTERM via CampaignOptions::cancel, or fault-injection site
@@ -121,8 +122,11 @@ struct CampaignOptions {
   /// they fall through to the unchanged whole-program simulation.
   /// Verdicts are therefore bitwise identical with batching on or off, at
   /// any batch size -- enforced by tests/test_batch_equivalence.cpp.
-  /// Screening runs serially before the worker fan-out and is recomputed
-  /// on resume, so any checkpoint boundary is batch-safe.
+  /// The windows are screened on `parallel`'s threads before the worker
+  /// fan-out, then the screened defects are completed serially in index
+  /// order, so checkpoint records and kill sites fire in the same order at
+  /// every thread count.  The screen is recomputed on resume, so any
+  /// checkpoint boundary is batch-safe.
   bool batched = true;
   /// Defects gathered per DefectBatch window (>= 1).
   std::size_t batch_size = 64;

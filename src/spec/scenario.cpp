@@ -438,7 +438,8 @@ ScenarioSpec parse_scenario(const std::string& text) {
 }
 
 xtalk::DefectLibrary ScenarioSpec::make_library() const {
-  return sim::make_defect_library(system, bus, defect_count, seed, sigma_pct);
+  return sim::make_defect_library(system, bus, defect_count, seed, sigma_pct,
+                                  {threads});
 }
 
 std::vector<sbst::GenerationResult> ScenarioSpec::make_sessions() const {

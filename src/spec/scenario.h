@@ -133,7 +133,8 @@ struct ScenarioSpec {
 
   // --- materializers -----------------------------------------------------
 
-  /// Defect library for `bus` at the system's calibrated Cth.
+  /// Defect library for `bus` at the system's calibrated Cth, generated on
+  /// `threads` threads (the same library at any count).
   xtalk::DefectLibrary make_library() const;
 
   /// The self-test program sessions this scenario selects (one session

@@ -118,6 +118,7 @@ std::string CampaignStats::json(const std::string& label) const {
       "{\"campaign\":\"%s\",\"threads\":%u,"
       "\"hardware_concurrency\":%u,\"build_type\":\"%s\",\"defects\":%zu,"
       "\"simulated_cycles\":%llu,\"wall_seconds\":%.6f,"
+      "\"library_seconds\":%.6f,\"screen_seconds\":%.6f,"
       "\"defects_per_second\":%.1f,\"detected\":%zu,"
       "\"detected_by_timeout\":%zu,\"undetected\":%zu,\"sim_errors\":%zu,"
       "\"retries\":%zu,\"restored_from_checkpoint\":%zu,"
@@ -136,7 +137,8 @@ std::string CampaignStats::json(const std::string& label) const {
       label.c_str(), threads, std::thread::hardware_concurrency(),
       build_type(), defects_simulated,
       static_cast<unsigned long long>(simulated_cycles), wall_seconds,
-      defects_per_second(), detected, detected_by_timeout, undetected,
+      library_seconds, screen_seconds, defects_per_second(), detected,
+      detected_by_timeout, undetected,
       sim_errors, retries, restored_from_checkpoint, salvaged_sections,
       dropped_slots, flush_failures,
       static_cast<unsigned long long>(cache_hits),
@@ -161,6 +163,8 @@ void CampaignStats::merge_from(const CampaignStats& other) {
   defects_simulated += other.defects_simulated;
   simulated_cycles += other.simulated_cycles;
   wall_seconds += other.wall_seconds;
+  library_seconds += other.library_seconds;
+  screen_seconds += other.screen_seconds;
   threads = std::max(threads, other.threads);
   detected += other.detected;
   detected_by_timeout += other.detected_by_timeout;
@@ -246,6 +250,8 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
   any |= json_counter(obj, "defects", out.defects_simulated);
   any |= json_counter(obj, "simulated_cycles", out.simulated_cycles);
   any |= json_counter(obj, "wall_seconds", out.wall_seconds);
+  any |= json_counter(obj, "library_seconds", out.library_seconds);
+  any |= json_counter(obj, "screen_seconds", out.screen_seconds);
   any |= json_counter(obj, "threads", out.threads);
   any |= json_counter(obj, "detected", out.detected);
   any |= json_counter(obj, "detected_by_timeout", out.detected_by_timeout);

@@ -89,6 +89,12 @@ struct CampaignStats {
   std::uint64_t simulated_cycles = 0;
   /// Host wall-clock time spent inside campaign calls.
   double wall_seconds = 0.0;
+  /// Host wall-clock time spent generating defect libraries (before, and
+  /// outside, the campaign calls that wall_seconds covers).
+  double library_seconds = 0.0;
+  /// Host wall-clock time spent in the batched screen (inside
+  /// wall_seconds: screening, plus completing the screened defects).
+  double screen_seconds = 0.0;
   /// Resolved worker count of the most recent campaign call.
   unsigned threads = 0;
 
@@ -208,8 +214,9 @@ struct CampaignStats {
   /// batch_fill, defects_per_second -- stays a function over the merged
   /// raw counters, so merging never averages rates: the merged hit rate
   /// is (sum hits) / (sum hits + sum misses), not the mean of per-shard
-  /// rates.  wall_seconds accumulates (aggregate time inside campaign
-  /// calls, as for multi-session sweeps); `threads` keeps the maximum of
+  /// rates.  wall_seconds and the phase times accumulate (aggregate time
+  /// inside campaign calls, as for multi-session sweeps); `threads` keeps
+  /// the maximum of
   /// the two resolved worker counts; error_log entries are appended.
   void merge_from(const CampaignStats& other);
 };
@@ -227,8 +234,9 @@ struct StatsJsonError : std::runtime_error {
 
 /// Best-effort inverse of CampaignStats::json for the flat numeric fields
 /// (verdict breakdown, cycles, cache/batch/gold counters, wall_seconds,
-/// threads).  Scans `line` for the first '{'...'}' JSON object; returns
-/// false when no such object or no known key is found, and throws
+/// the phase times, threads).  Scans `line` for the first '{'...'}' JSON
+/// object; returns false when no such object or no known key is found,
+/// and throws
 /// StatsJsonError for an object that is damaged (see above).  Environment
 /// fields (hardware_concurrency, build_type) and derived ratios are
 /// ignored -- ratios are recomputed from the raw counters.  This is how a

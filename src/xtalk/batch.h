@@ -96,8 +96,8 @@ class DefectBatch {
 
 /// Scores one (held, driven) transition against every lane of a batch.
 /// Construct once per (batch, thresholds) pair; `screen` is the hot call.
-/// Not thread-safe (owns scratch buffers) -- the campaign screens
-/// serially, which is also what keeps its results thread-count-invariant.
+/// Not thread-safe (owns scratch buffers) -- each campaign screen worker
+/// builds its own.
 class BatchEvaluator {
  public:
   /// `batch` must outlive the evaluator.  `config` is the bus's error

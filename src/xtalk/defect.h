@@ -7,13 +7,18 @@
 // -- the criterion of Cuviello et al. (ICCAD'99) for "some MA test can
 // detect it".  Candidates below the threshold are electrically benign and
 // are discarded, exactly as in the paper's flow.
+//
+// Generation runs on `parallel`'s threads, and the library does not depend
+// on how many (DESIGN.md D12): only the raw engine stream is drawn
+// serially; the gaussian draws and the Cth test fan out, and candidates
+// are accepted strictly in index order.
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "util/rng.h"
+#include "util/parallel.h"
 #include "xtalk/rc_network.h"
 
 namespace xtest::xtalk {
@@ -38,6 +43,13 @@ struct DefectConfig {
 /// what produces the zero-coverage side lines of Fig. 11.
 double recommended_cth(const RcNetwork& nominal, double ratio = 1.6);
 
+/// Net coupling of every wire of `nominal` under a defect's `factors` (one
+/// per wire pair, in Defect's order), written to net[0..width).  Bitwise
+/// equal to Defect(width, factors).apply(nominal).net_coupling(i), without
+/// building the network.
+void perturbed_net_coupling(const RcNetwork& nominal, const double* factors,
+                            double* net);
+
 /// One recorded defect: a multiplicative factor for every unordered wire
 /// pair (i < j), row-major in the upper triangle.
 class Defect {
@@ -55,12 +67,14 @@ class Defect {
   /// std::invalid_argument on a width mismatch.
   RcNetwork apply(const RcNetwork& nominal) const;
 
-  /// Wires whose net coupling exceeds `cth_fF` under this defect.
+  /// Wires whose net coupling exceeds `cth_fF` under this defect.  Throws
+  /// std::invalid_argument on a width mismatch.
   std::vector<unsigned> defective_wires(const RcNetwork& nominal,
                                         double cth_fF) const;
 
  private:
   std::size_t tri_index(unsigned i, unsigned j) const;
+  void check_width(const RcNetwork& nominal, const char* caller) const;
 
   unsigned width_;
   std::vector<double> factors_;  // width*(width-1)/2 entries
@@ -69,10 +83,13 @@ class Defect {
 /// A generated library plus generation statistics.
 class DefectLibrary {
  public:
-  /// Rejection-samples `config.count` defects.  Throws std::runtime_error
-  /// if `max_attempts` candidates do not yield enough defects.
+  /// Rejection-samples `config.count` defects on `parallel`'s threads;
+  /// the library and attempts() are the same at every thread count.
+  /// Throws std::runtime_error if `max_attempts` candidates do not yield
+  /// enough defects.
   static DefectLibrary generate(const RcNetwork& nominal,
-                                const DefectConfig& config);
+                                const DefectConfig& config,
+                                const util::ParallelConfig& parallel = {});
 
   /// Wraps an explicit defect list (e.g. reloaded from CSV) as a library.
   /// The defects are taken as-is; a width that does not match the target

@@ -13,8 +13,14 @@
 //     to the unbatched per-defect loop.
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <optional>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +30,7 @@
 #include "soc/system.h"
 #include "spec/scenario.h"
 #include "util/bitvec.h"
+#include "util/fault_injector.h"
 #include "util/parallel.h"
 #include "xtalk/batch.h"
 #include "xtalk/defect.h"
@@ -325,6 +332,123 @@ TEST(BatchEquivalence, ScreenedDefectsAreCountedAndNeverChangeCoverage) {
   EXPECT_GT(stats.batch_fill(), 0.0);
   EXPECT_LE(stats.batch_fill(), 1.0);
   EXPECT_LE(stats.batch_screened, stats.batch_lanes);
+}
+
+// ---------------------------------------------------------------------------
+// The screen on threads: windows are screened in parallel, the screened
+// defects completed serially in index order, so every observable output --
+// verdicts, screen counters, checkpoint bytes, kill points -- is the same
+// at every thread count.
+
+std::string checkpoint_path(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("xtest_screen_threads_" + tag + ".ckpt"))
+      .string();
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(BatchScreenThreads,
+     VerdictsCountersAndCheckpointBytesMatchAtEveryThreadCount) {
+  spec::ScenarioSpec s = spec::builtin_scenario("slow-tester");
+  s.defect_count = 96;
+  const auto sessions = s.make_sessions();
+  const auto lib = s.make_library();
+  for (const std::size_t batch : {std::size_t{64}, std::size_t{7}}) {
+    std::vector<sim::Verdict> serial;
+    util::CampaignStats serial_stats;
+    std::string serial_bytes;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      const std::string path = checkpoint_path(
+          "b" + std::to_string(batch) + "_t" + std::to_string(threads));
+      std::remove(path.c_str());
+      util::CampaignStats stats;
+      sim::CampaignOptions opts = s.campaign_options(&stats);
+      opts.parallel = {threads};
+      opts.batch_size = batch;
+      opts.checkpoint_path = path;
+      opts.checkpoint_key = sim::default_checkpoint_key(s.bus, lib);
+      const std::vector<sim::Verdict> det =
+          sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts);
+      const std::string bytes = file_bytes(path);
+      std::remove(path.c_str());
+      EXPECT_GT(stats.batch_screened, 0u);
+      EXPECT_GT(stats.screen_seconds, 0.0);
+      if (threads == 1) {
+        serial = det;
+        serial_stats = stats;
+        serial_bytes = bytes;
+        continue;
+      }
+      const std::string where =
+          "batch=" + std::to_string(batch) +
+          " threads=" + std::to_string(threads);
+      EXPECT_EQ(det, serial) << where;
+      EXPECT_EQ(stats.batch_screened, serial_stats.batch_screened) << where;
+      EXPECT_EQ(stats.batched_transitions, serial_stats.batched_transitions)
+          << where;
+      EXPECT_EQ(stats.batch_lanes, serial_stats.batch_lanes) << where;
+      EXPECT_EQ(bytes, serial_bytes) << where;
+    }
+  }
+}
+
+TEST(BatchScreenThreads,
+     KillDuringTheScreenLeavesTheSameCheckpointAtEveryThreadCount) {
+  struct Disarm {
+    ~Disarm() { util::FaultInjector::global().disarm(); }
+  } disarm_on_exit;
+  constexpr std::size_t kKillAt = 5;
+  spec::ScenarioSpec s = spec::builtin_scenario("slow-tester");
+  s.defect_count = 96;
+  const sbst::TestProgram program = s.make_sessions().front().program;
+  const auto lib = s.make_library();
+
+  util::CampaignStats ref_stats;
+  sim::CampaignOptions ref_opts = s.campaign_options(&ref_stats);
+  ref_opts.parallel = {1};
+  ref_opts.batch_size = 7;
+  const std::vector<sim::Verdict> reference =
+      sim::run_detection(s.system, program, s.bus, lib, ref_opts);
+  // The kill must land inside the screen's completions, which are the
+  // same at every thread count (the fan-out's order is not).
+  ASSERT_GT(ref_stats.batch_screened, kKillAt);
+
+  std::map<unsigned, std::string> killed_bytes;
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string path =
+        checkpoint_path("kill_t" + std::to_string(threads));
+    std::remove(path.c_str());
+    sim::CampaignOptions opts = s.campaign_options(nullptr);
+    opts.parallel = {threads};
+    opts.batch_size = 7;
+    opts.checkpoint_path = path;
+    opts.checkpoint_key = sim::default_checkpoint_key(s.bus, lib);
+    opts.checkpoint_every = 2;
+    util::FaultInjector::global().configure("campaign.kill@" +
+                                            std::to_string(kKillAt));
+    EXPECT_THROW(sim::run_detection(s.system, program, s.bus, lib, opts),
+                 sim::CampaignInterrupted)
+        << "threads=" << threads;
+    util::FaultInjector::global().disarm();
+    killed_bytes[threads] = file_bytes(path);
+
+    util::CampaignStats resumed_stats;
+    opts.stats = &resumed_stats;
+    EXPECT_EQ(sim::run_detection(s.system, program, s.bus, lib, opts),
+              reference)
+        << "threads=" << threads;
+    EXPECT_EQ(resumed_stats.restored_from_checkpoint, kKillAt)
+        << "threads=" << threads;
+    std::remove(path.c_str());
+  }
+  EXPECT_FALSE(killed_bytes[1].empty());
+  EXPECT_EQ(killed_bytes[4], killed_bytes[1]);
 }
 
 }  // namespace

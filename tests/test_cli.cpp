@@ -138,6 +138,21 @@ TEST(Cli, CampaignThreadsFlagKeepsCoverageIdentical) {
   EXPECT_NE(par.out.find("threads=4 "), std::string::npos);
 }
 
+TEST(Cli, CampaignReportsLibraryAndScreenTimes) {
+  const CliRun r = run_cli({"campaign", "--bus", "addr", "--defects", "15",
+                            "--seed", "7", "--threads", "2", "--stats-json"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  const std::size_t line = r.out.find("\nthreads=2 ");
+  ASSERT_NE(line, std::string::npos) << r.out;
+  const std::string stats =
+      r.out.substr(line + 1, r.out.find('\n', line + 1) - line - 1);
+  EXPECT_NE(stats.find(" wall="), std::string::npos) << stats;
+  EXPECT_NE(stats.find(" library="), std::string::npos) << stats;
+  EXPECT_NE(stats.find(" screen="), std::string::npos) << stats;
+  EXPECT_NE(r.out.find("\"library_seconds\":"), std::string::npos);
+  EXPECT_NE(r.out.find("\"screen_seconds\":"), std::string::npos);
+}
+
 TEST(Cli, CampaignBatchLineAndNoBatchKeepVerdictsIdentical) {
   const CliRun on = run_cli({"campaign", "--bus", "data", "--defects", "12",
                              "--seed", "7", "--batch-size", "5"});

@@ -1,9 +1,17 @@
 #include "xtalk/defect.h"
 
+#include <cstdint>
+#include <cstring>
+#include <ostream>
+#include <random>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "sim/campaign.h"
+#include "soc/system.h"
+#include "spec/scenario.h"
 #include "xtalk/error_model.h"
 
 namespace xtest::xtalk {
@@ -52,6 +60,29 @@ TEST(Defect, ApplyScalesCouplings) {
   const RcNetwork scaled = Defect(12, factors).apply(nom);
   EXPECT_DOUBLE_EQ(scaled.coupling(0, 1), 2.5 * nom.coupling(0, 1));
   EXPECT_DOUBLE_EQ(scaled.coupling(0, 2), nom.coupling(0, 2));
+}
+
+TEST(Defect, NetCouplingHelperMatchesTheAppliedNetworkBitwise) {
+  const RcNetwork nom = nominal12();
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> factor(0.0, 3.0);
+  std::vector<double> net(12);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> factors(12 * 11 / 2);
+    for (double& f : factors) f = trial % 7 == 0 ? 0.0 : factor(rng);
+    const RcNetwork applied = Defect(12, factors).apply(nom);
+    perturbed_net_coupling(nom, factors.data(), net.data());
+    for (unsigned i = 0; i < 12; ++i) {
+      const double want = applied.net_coupling(i);
+      EXPECT_EQ(std::memcmp(&net[i], &want, sizeof want), 0)
+          << "trial " << trial << " wire " << i;
+    }
+  }
+}
+
+TEST(Defect, DefectiveWiresRejectsAWidthMismatch) {
+  const Defect d(5, std::vector<double>(10, 1.0));
+  EXPECT_THROW(d.defective_wires(nominal12(), 1.0), std::invalid_argument);
 }
 
 TEST(Defect, DefectiveWiresUsesCth) {
@@ -154,6 +185,138 @@ TEST(DefectLibrary, DetectableExactlyWhenAboveCth) {
     for (const MafFault& f : enumerate_mafs(12, false))
       any = any || model.corrupts(net, ma_test(12, f));
     EXPECT_TRUE(any);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Library pins.  Each records an FNV-1a hash over the bit pattern of every
+// factor plus the attempt count, taken from the serial generator that drew
+// each candidate in turn with util::Rng::gaussian.  Generation on threads
+// must reproduce them exactly at every thread count (3 gives uneven
+// shares): a change to the draw order, the Cth test's summation order or
+// the acceptance order shows up here.
+
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+std::uint64_t library_hash(const DefectLibrary& lib) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const Defect& d : lib.defects())
+    for (unsigned i = 0; i < d.width(); ++i)
+      for (unsigned j = i + 1; j < d.width(); ++j) {
+        const double f = d.factor(i, j);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &f, sizeof bits);
+        h = fnv_fold(h, bits);
+      }
+  return fnv_fold(h, lib.attempts());
+}
+
+struct LibraryPin {
+  std::string label;
+  std::string scenario;
+  soc::BusKind bus;
+  std::size_t count;
+  std::size_t attempts;
+  std::uint64_t hash;
+};
+
+constexpr soc::BusKind kAddr = soc::BusKind::kAddress;
+
+const std::vector<LibraryPin>& library_pins() {
+  static const std::vector<LibraryPin> pins = {
+      {"paper_baseline", "paper-baseline", kAddr, 200, 4389,
+       0x332BF0C9542C316Aull},
+      {"wide_bus_32", "wide-bus-32", kAddr, 200, 4389, 0x332BF0C9542C316Aull},
+      {"slow_tester", "slow-tester", kAddr, 200, 4389, 0x332BF0C9542C316Aull},
+      {"control_bus", "control-bus", soc::BusKind::kControl, 200, 4355,
+       0x61BEEF716AD3A506ull},
+      {"bist_compare", "bist-compare", kAddr, 500, 10802,
+       0x4E2FFACF56D86921ull},
+      {"stress_1k_defects", "stress-1k-defects", kAddr, 1000, 21028,
+       0xD1183FDFB803A214ull},
+      {"online_baseline", "online-baseline", kAddr, 64, 1526,
+       0xE6874C01D491DC9Aull},
+      {"low_swing_bus", "low-swing-bus", kAddr, 200, 4389,
+       0x332BF0C9542C316Aull},
+      {"stress_8000", "stress-1k-defects", kAddr, 8000, 165430,
+       0xF26CB7A155ADF0AEull},
+      {"data_bus_3000", "paper-baseline", soc::BusKind::kData, 3000, 73152,
+       0x6BCAFAF497642DEDull},
+  };
+  return pins;
+}
+
+void PrintTo(const LibraryPin& pin, std::ostream* os) { *os << pin.label; }
+
+class LibraryPinTest : public ::testing::TestWithParam<LibraryPin> {};
+
+TEST_P(LibraryPinTest, SameLibraryAndAttemptsAtEveryThreadCount) {
+  const LibraryPin& pin = GetParam();
+  const spec::ScenarioSpec s = spec::builtin_scenario(pin.scenario);
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+    const DefectLibrary lib = sim::make_defect_library(
+        s.system, pin.bus, pin.count, s.seed, s.sigma_pct, {threads});
+    ASSERT_EQ(lib.size(), pin.count) << "threads=" << threads;
+    EXPECT_EQ(lib.attempts(), pin.attempts) << "threads=" << threads;
+    EXPECT_EQ(library_hash(lib), pin.hash) << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pins, LibraryPinTest, ::testing::ValuesIn(library_pins()),
+    [](const ::testing::TestParamInfo<LibraryPin>& info) {
+      return info.param.label;
+    });
+
+TEST(LibraryPins, EveryBuiltinIsPinnedAtItsOwnBusAndCount) {
+  for (const std::string& name : spec::builtin_scenario_names()) {
+    const spec::ScenarioSpec s = spec::builtin_scenario(name);
+    bool pinned = false;
+    for (const LibraryPin& pin : library_pins())
+      pinned = pinned || (pin.scenario == name && pin.bus == s.bus &&
+                          pin.count == s.defect_count);
+    EXPECT_TRUE(pinned) << name;
+  }
+}
+
+TEST(LibraryPins, MaxAttemptsBoundaryIsTheSameAtEveryThreadCount) {
+  // paper-baseline accepts its 200th defect at exactly attempt 4389:
+  // that budget suffices, one less throws, at any thread count.
+  const LibraryPin& pin = library_pins().front();
+  const spec::ScenarioSpec s = spec::builtin_scenario(pin.scenario);
+  const soc::System system(s.system);
+  DefectConfig dc;
+  dc.sigma_pct = s.sigma_pct;
+  dc.cth_fF = system.address_cth();
+  dc.count = pin.count;
+  dc.seed = s.seed;
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+    dc.max_attempts = pin.attempts;
+    const DefectLibrary lib = DefectLibrary::generate(
+        system.nominal_address_network(), dc, {threads});
+    EXPECT_EQ(library_hash(lib), pin.hash) << "threads=" << threads;
+    dc.max_attempts = pin.attempts - 1;
+    EXPECT_THROW(DefectLibrary::generate(system.nominal_address_network(), dc,
+                                         {threads}),
+                 std::runtime_error)
+        << "threads=" << threads;
+  }
+}
+
+TEST(LibraryPins, ZeroCountDrawsNothing) {
+  const RcNetwork nom = nominal12();
+  DefectConfig dc = config_for(nom, 0);
+  dc.max_attempts = 0;
+  for (const unsigned threads : {1u, 4u}) {
+    const DefectLibrary lib = DefectLibrary::generate(nom, dc, {threads});
+    EXPECT_EQ(lib.size(), 0u);
+    EXPECT_EQ(lib.attempts(), 0u);
   }
 }
 

@@ -236,6 +236,26 @@ TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   EXPECT_EQ(a.error_log[1], "defect 8: bang");
 }
 
+TEST(CampaignStatsMerge, PhaseTimesAreRawSumsAndRoundTripThroughJson) {
+  util::CampaignStats a;
+  a.wall_seconds = 1.0;
+  a.library_seconds = 0.25;
+  a.screen_seconds = 0.125;
+  util::CampaignStats b;
+  b.library_seconds = 0.5;
+  b.screen_seconds = 0.0625;
+  a.merge_from(b);
+  EXPECT_DOUBLE_EQ(a.library_seconds, 0.75);
+  EXPECT_DOUBLE_EQ(a.screen_seconds, 0.1875);
+  EXPECT_DOUBLE_EQ(a.wall_seconds, 1.0);  // library time is not wall time
+
+  util::CampaignStats got;
+  ASSERT_TRUE(util::parse_stats_json(a.json("phases"), got));
+  EXPECT_NEAR(got.library_seconds, a.library_seconds, 1e-6);
+  EXPECT_NEAR(got.screen_seconds, a.screen_seconds, 1e-6);
+  EXPECT_NEAR(got.wall_seconds, a.wall_seconds, 1e-6);
+}
+
 TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
   util::CampaignStats st;
   st.defects_simulated = 120;

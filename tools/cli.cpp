@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -465,7 +466,7 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 "detected=%zu timeout=%zu undetected=%zu sim_errors=%zu\n"
                 "retries=%zu restored=%zu salvaged=%zu dropped=%zu\n"
                 "threads=%u simulations=%zu cycles=%llu wall=%.3fs "
-                "defects/sec=%.0f\n"
+                "library=%.3fs screen=%.3fs defects/sec=%.0f\n"
                 "cache_hits=%llu cache_misses=%llu cache_hit_rate=%.1f%% "
                 "gold_reuses=%zu run_reuses=%zu\n",
                 vc.detected, vc.detected_by_timeout, vc.undetected,
@@ -473,7 +474,8 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 stats.salvaged_sections, stats.dropped_slots, stats.threads,
                 stats.defects_simulated,
                 static_cast<unsigned long long>(stats.simulated_cycles),
-                stats.wall_seconds, stats.defects_per_second(),
+                stats.wall_seconds, stats.library_seconds,
+                stats.screen_seconds, stats.defects_per_second(),
                 static_cast<unsigned long long>(stats.cache_hits),
                 static_cast<unsigned long long>(stats.cache_misses),
                 100.0 * stats.cache_hit_rate(), stats.gold_reuses,
@@ -686,9 +688,13 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
   const FaultSpecGuard faults(
       p.options.count("faults") ? p.options.at("faults") : "");
 
-  const auto lib = s.make_library();
-  const auto sessions = s.make_sessions();
   util::CampaignStats stats;
+  const auto library_start = std::chrono::steady_clock::now();
+  const auto lib = s.make_library();
+  stats.library_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - library_start)
+                              .count();
+  const auto sessions = s.make_sessions();
 
   sim::CampaignOptions opts = s.campaign_options(&stats);
   opts.cancel = &interrupt_flag();
@@ -1379,7 +1385,8 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
 
   for (const soc::BusKind bus : buses) {
     const auto lib =
-        sim::make_defect_library(cfg, bus, defects, seed, scn.sigma_pct);
+        sim::make_defect_library(cfg, bus, defects, seed, scn.sigma_pct,
+                                 {scn.threads});
     const std::size_t total_slots = live_sessions * lib.size();
     inj.disarm();
     const std::vector<sim::Verdict> reference = sim::run_detection_sessions(
