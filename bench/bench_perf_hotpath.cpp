@@ -6,16 +6,10 @@
 //     resulting speedup (the acceptance gate is >= 3x on this microbench);
 //   * single-call receive latency, fast BusEvaluator vs the reference
 //     CrosstalkErrorModel;
-//   * campaign wall time and throughput at 1 and 4 threads (reference
-//     execution tier, comparable with the historical trajectory), plus the
-//     same single-thread campaign on the pre-decoded tier and the
-//     resulting exec_tier_speedup.  Every campaign point starts from cold
-//     process-wide memos (gold snapshots, defect-run outcomes, pooled
-//     simulators) and times five identical passes, so the reference
-//     numbers are five cold passes while the decoded numbers blend one
-//     cold pass with the warm reruns its memos exist for -- the
-//     repeated-campaign shape of per-line sweeps, session sweeps and
-//     checkpoint resumes.
+//   * campaign wall time and throughput at 1 and 4 threads.  Every
+//     campaign point starts from a cold gold-snapshot memo and times five
+//     identical passes -- the repeated-campaign shape of per-line sweeps,
+//     session sweeps and checkpoint resumes.
 //
 // All timed paths are bitwise-equivalent to the reference evaluation
 // (tests/test_fastpath.cpp), so these numbers measure pure speed.
@@ -33,7 +27,6 @@
 #include "sim/campaign.h"
 #include "sim/gold_cache.h"
 #include "sim/online.h"
-#include "sim/system_pool.h"
 #include "soc/bus.h"
 #include "soc/system.h"
 #include "util/parallel.h"
@@ -125,26 +118,17 @@ struct CampaignPoint {
   double defects_per_second = 0.0;
   double cache_hit_rate = 0.0;
   std::size_t gold_reuses = 0;
-  std::size_t run_reuses = 0;
 };
 
-/// Runs the same single-program campaign five times from cold
-/// process-wide state and reports the accumulated stats.  Pass 1 pays
-/// full construction and simulation; passes 2-3 reuse whatever the tier
-/// is allowed to keep (gold snapshots everywhere; pooled simulators and
-/// memoed defect runs on accelerated tiers only), exactly like per-line
-/// sweeps and resumed sessions rerun the same library.  The batch screen
-/// is off so every tier simulates the identical per-defect workload (the
-/// screen is tier-independent and has its own bench points below).  The
-/// tier is pinned explicitly so the historical threads1/threads4 points
-/// keep measuring the reference interpreter while the decoded point
-/// measures the pre-decoded tier on the same workload.
-CampaignPoint campaign_point(unsigned threads, cpu::ExecTier tier) {
+/// Runs the same single-program campaign five times from a cold gold memo
+/// and reports the accumulated stats.  Pass 1 simulates gold; later
+/// passes reuse its snapshot, exactly like per-line sweeps and resumed
+/// sessions rerun the same library.  The batch screen is off so every
+/// point simulates the identical per-defect workload (the screen has its
+/// own bench points below).
+CampaignPoint campaign_point(unsigned threads) {
   sim::GoldRunCache::global().clear();
-  sim::DefectRunCache::global().clear();
-  sim::SystemPool::global().clear();
-  soc::SystemConfig cfg = bench::active_spec().system;
-  cfg.exec_tier = tier;
+  const soc::SystemConfig cfg = bench::active_spec().system;
   const auto prog =
       sbst::TestProgramGenerator(bench::active_spec().program).generate();
   const auto lib = sim::make_defect_library(cfg, soc::BusKind::kAddress, 48,
@@ -157,7 +141,7 @@ CampaignPoint campaign_point(unsigned threads, cpu::ExecTier tier) {
   for (int pass = 0; pass < 5; ++pass)
     sim::run_detection(cfg, prog.program, soc::BusKind::kAddress, lib, opts);
   return {stats.wall_seconds, stats.defects_per_second(),
-          stats.cache_hit_rate(), stats.gold_reuses, stats.run_reuses};
+          stats.cache_hit_rate(), stats.gold_reuses};
 }
 
 struct BatchPoint {
@@ -171,18 +155,12 @@ struct BatchPoint {
 /// marginal delay defects diverge in at most one session there, so most
 /// (defect, session) slots screen clean -- the workload the batched path
 /// exists for.  Verdicts are bitwise identical either way; the two points
-/// measure pure speed.  Pinned to the reference tier: the screen's value
-/// is replacing *slow* per-defect simulations with a vectorized
-/// transition sweep, and the reference interpreter is where simulations
-/// are slow -- on accelerated tiers the pooled memos already answer
-/// repeat runs faster than the screen can score them.
+/// measure pure speed.
 BatchPoint batch_point(bool batched) {
-  // Cold memos, like campaign_point, so the two points stay comparable.
+  // A cold gold memo, like campaign_point, so the two points stay
+  // comparable.
   sim::GoldRunCache::global().clear();
-  sim::DefectRunCache::global().clear();
-  sim::SystemPool::global().clear();
   spec::ScenarioSpec s = spec::builtin_scenario("slow-tester");
-  s.system.exec_tier = cpu::ExecTier::kReference;
   s.batched = batched;
   s.defect_count = 96;
   const auto sessions = s.make_sessions();
@@ -210,8 +188,6 @@ struct OnlinePoint {
 /// gate tracks (the off-line flow has no such number).
 OnlinePoint online_point() {
   sim::GoldRunCache::global().clear();
-  sim::DefectRunCache::global().clear();
-  sim::SystemPool::global().clear();
   spec::ScenarioSpec s = spec::builtin_scenario("online-baseline");
   s.defect_count = 32;
   const auto sessions = s.make_sessions();
@@ -271,26 +247,18 @@ void print_perf_baseline() {
               "  speedup        : %.2fx\n",
               ns_fast, ns_ref, recv_speedup);
 
-  const CampaignPoint t1 = campaign_point(1, cpu::ExecTier::kReference);
-  const CampaignPoint t4 = campaign_point(4, cpu::ExecTier::kReference);
-  const CampaignPoint dec = campaign_point(1, cpu::ExecTier::kDecoded);
-  const double tier_speedup = t1.defects_per_second > 0.0
-                                  ? dec.defects_per_second /
-                                        t1.defects_per_second
-                                  : 0.0;
-  std::printf("\ncampaign (48 address defects, 5 passes from cold memos, "
-              "batch screen off):\n"
+  const CampaignPoint t1 = campaign_point(1);
+  const CampaignPoint t4 = campaign_point(4);
+  std::printf("\ncampaign (48 address defects, 5 passes from a cold gold "
+              "memo, batch screen off):\n"
               "  threads=1: %.3f s wall, %.0f defects/sec, hit rate %.1f%%, "
               "%zu gold reuse(s)\n"
               "  threads=4: %.3f s wall, %.0f defects/sec, hit rate %.1f%%, "
-              "%zu gold reuse(s)\n"
-              "  decoded  : %.3f s wall, %.0f defects/sec, %zu run reuse(s) "
-              "(%.2fx over the reference tier at threads=1)\n",
+              "%zu gold reuse(s)\n",
               t1.wall_seconds, t1.defects_per_second,
               100.0 * t1.cache_hit_rate, t1.gold_reuses, t4.wall_seconds,
               t4.defects_per_second, 100.0 * t4.cache_hit_rate,
-              t4.gold_reuses, dec.wall_seconds, dec.defects_per_second,
-              dec.run_reuses, tier_speedup);
+              t4.gold_reuses);
 
   const BatchPoint unbatched = batch_point(false);
   const BatchPoint batched = batch_point(true);
@@ -299,7 +267,7 @@ void print_perf_baseline() {
           ? batched.defects_per_second / unbatched.defects_per_second
           : 0.0;
   std::printf("\ncampaign, transition-major batch screen (96 slow-tester "
-              "defects, all sessions, serial, reference tier):\n"
+              "defects, all sessions, serial):\n"
               "  batch off: %8.0f defects/sec\n"
               "  batch on : %8.0f defects/sec (%zu screened, fill %.1f%%)\n"
               "  speedup  : %.2fx\n",
@@ -334,9 +302,6 @@ void print_perf_baseline() {
       "\"campaign_wall_s_threads4\":%.4f,"
       "\"campaign_defects_per_sec_threads1\":%.1f,"
       "\"campaign_defects_per_sec_threads4\":%.1f,"
-      "\"campaign_defects_per_sec_decoded\":%.1f,"
-      "\"exec_tier_speedup\":%.3f,"
-      "\"run_reuses\":%zu,"
       "\"cache_hit_rate\":%.4f,"
       "\"gold_reuses\":%zu,"
       "\"campaign_defects_per_sec\":%.1f,"
@@ -356,8 +321,7 @@ void print_perf_baseline() {
       "\"build_type\":\"%s\"}",
       xfer_on, xfer_off, xfer_speedup, ns_fast, ns_ref, recv_speedup,
       t1.wall_seconds, t4.wall_seconds, t1.defects_per_second,
-      t4.defects_per_second, dec.defects_per_second, tier_speedup,
-      dec.run_reuses, t1.cache_hit_rate, t1.gold_reuses + t4.gold_reuses,
+      t4.defects_per_second, t1.cache_hit_rate, t1.gold_reuses + t4.gold_reuses,
       unbatched.defects_per_second, batched.defects_per_second, batch_speedup,
       batched.batch_screened, batched.batch_fill,
       online.defects_per_second,

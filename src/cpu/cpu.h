@@ -57,12 +57,9 @@ class BusPort {
   virtual void internal_cycle() = 0;
 };
 
-/// Complete architectural state of the core, used as the handoff between
-/// execution tiers: an accelerated executor (soc/exec_tier.cpp) lifts the
-/// state out with state(), runs instructions against the same BusPort
-/// semantics, and writes the result back with restore() -- after which the
-/// reference interpreter can continue the run as if it had executed every
-/// instruction itself (the bail-out path).
+/// Complete architectural state of the core.  A suspended program slice
+/// (soc::SliceState) lifts it out with state() and writes it back with
+/// restore(), after which the run continues as if it had never stopped.
 struct CpuState {
   Addr pc = 0;
   std::uint8_t acc = 0;
@@ -96,7 +93,7 @@ class Cpu {
   void set_acc(std::uint8_t a) { acc_ = a; }
   void set_flags(Flags f) { flags_ = f; }
 
-  /// Execution-tier handoff (see CpuState).
+  /// Slice save/restore (see CpuState).
   CpuState state() const { return {pc_, acc_, flags_, reason_, cycles_}; }
   void restore(const CpuState& s) {
     pc_ = s.pc;

@@ -2,103 +2,12 @@
 
 namespace xtest::cpu {
 
-std::string to_string(ExecTier tier) {
-  switch (tier) {
-    case ExecTier::kReference:
-      return "reference";
-    case ExecTier::kDecoded:
-      return "decoded";
-    case ExecTier::kJit:
-      return "jit";
-  }
-  return "reference";
-}
+std::string to_string(ExecTier) { return "reference"; }
 
 std::optional<ExecTier> parse_exec_tier(const std::string& name) {
-  if (name == "reference") return ExecTier::kReference;
-  if (name == "decoded") return ExecTier::kDecoded;
-  if (name == "jit") return ExecTier::kJit;
+  if (name == "reference" || name == "decoded" || name == "jit")
+    return ExecTier::kReference;
   return std::nullopt;
-}
-
-namespace {
-
-std::uint64_t fnv1a_image(const MemoryImage& image) {
-  std::uint64_t h = 1469598103934665603ull;
-  const std::uint8_t* raw = image.raw().data();
-  for (std::size_t i = 0; i < kMemWords; ++i) {
-    h ^= raw[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::array<Decoded, 256> build_decode_table() {
-  std::array<Decoded, 256> t;
-  for (unsigned b = 0; b < 256; ++b) t[b] = decode(static_cast<std::uint8_t>(b));
-  return t;
-}
-
-}  // namespace
-
-const std::array<Decoded, 256>& MicroProgram::decode_table() {
-  static const std::array<Decoded, 256> table = build_decode_table();
-  return table;
-}
-
-MicroProgram::MicroProgram(const MemoryImage& image)
-    : key_(fnv1a_image(image)) {
-  const std::array<Decoded, 256>& table = decode_table();
-  const std::uint8_t* raw = image.raw().data();
-  for (std::size_t a = 0; a < kMemWords; ++a) {
-    ops_[a].byte = raw[a];
-    ops_[a].d = table[raw[a]];
-  }
-}
-
-bool MicroProgram::matches(const MemoryImage& image) const {
-  const std::uint8_t* raw = image.raw().data();
-  for (std::size_t a = 0; a < kMemWords; ++a)
-    if (ops_[a].byte != raw[a]) return false;
-  return true;
-}
-
-DecodeCache& DecodeCache::global() {
-  static DecodeCache cache;
-  return cache;
-}
-
-std::shared_ptr<const MicroProgram> DecodeCache::obtain(
-    const MemoryImage& image, bool* built) {
-  const std::uint64_t key = fnv1a_image(image);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end() && it->second->matches(image)) {
-      if (built != nullptr) *built = false;
-      return it->second;
-    }
-  }
-  // Decode outside the lock; a racing build of the same program is benign
-  // (last writer wins, both tables are identical and self-validating).
-  auto fresh = std::make_shared<const MicroProgram>(image);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (map_.size() >= kCapacity) map_.clear();
-    map_[key] = fresh;
-  }
-  if (built != nullptr) *built = true;
-  return fresh;
-}
-
-void DecodeCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-}
-
-std::size_t DecodeCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
 }
 
 }  // namespace xtest::cpu

@@ -1,106 +1,30 @@
-// Pre-decoded micro-op execution tier for the PARWAN core.
+// Execution-tier names for the PARWAN core.
 //
-// The campaign inner loop runs the same SBST program for every defect, yet
-// the reference interpreter re-decodes each instruction byte on every
-// fetch of every run.  A MicroProgram is the one-time pre-decode pass: a
-// flat per-address array of micro-ops (the image byte plus its fully
-// decoded form), built once per program and shared -- like GoldRunCache --
-// across the defects, threads, and worker systems of a campaign through
-// the process-wide DecodeCache.
-//
-// Correctness does not depend on the table being fresh.  `decode()` is a
-// pure function of the fetched byte, and every micro-op stores the byte it
-// was decoded from, so an executor may use a micro-op exactly when the
-// byte that actually arrived over the (possibly corrupted) data bus equals
-// the stored byte -- and must fall back to plain decode otherwise.  That
-// single byte comparison subsumes self-modifying-store tracking and even
-// makes DecodeCache hash collisions harmless: a stale or mismatched table
-// can cause a slow path, never a wrong result.
+// The reference interpreter (Cpu::step) is the only executor of
+// soc::System::run (DESIGN.md D13).  The tier survives as a name so the
+// `--exec-tier` flag, the `system.exec_tier` scenario key and persisted
+// scenarios that spell an older tier keep working.
 
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-
-#include "cpu/isa.h"
-#include "cpu/memory_image.h"
 
 namespace xtest::cpu {
 
-/// Which executor drives System::run.
-///
-///   reference  per-cycle fetch/decode interpreter (Cpu::step), the
-///              semantics every other tier must match bitwise
-///   decoded    pre-decoded micro-op array + fused threaded dispatch loop
-///   jit        decoded, plus straight-line blocks compiled to native code
-///              (falls back to decoded when the JIT backend is unavailable)
-///
-/// Every tier routes each bus transaction through TristateBus::transfer,
-/// so bus traffic -- and therefore verdicts -- are identical across tiers.
-enum class ExecTier : std::uint8_t { kReference, kDecoded, kJit };
+/// Which executor drives System::run: the per-cycle fetch/decode
+/// interpreter.  Every bus transaction routes through
+/// TristateBus::transfer, so this is also the semantic oracle.
+enum class ExecTier : std::uint8_t { kReference };
 
-/// Scenario/CLI spelling: "reference", "decoded", "jit".
+/// Scenario/CLI spelling: "reference".
 std::string to_string(ExecTier tier);
 
-/// Parses a tier name; nullopt for unknown spellings.
+/// Parses a tier name; nullopt for unknown spellings.  "decoded" and
+/// "jit", the names of removed accelerated tiers, parse as the reference
+/// interpreter: the tier never affected verdicts or checkpoint keys, so
+/// scenarios and queued jobs that name them run unchanged.
 std::optional<ExecTier> parse_exec_tier(const std::string& name);
-
-/// One pre-decoded memory word: the image byte and its decoded form.
-struct MicroOp {
-  std::uint8_t byte = 0;
-  Decoded d;
-};
-
-/// Immutable pre-decode of a full 4K memory image.  Thread-safe to share.
-class MicroProgram {
- public:
-  explicit MicroProgram(const MemoryImage& image);
-
-  const MicroOp& at(Addr a) const { return ops_[a & kAddrMask]; }
-
-  /// Whether `image` holds exactly the bytes this table was decoded from
-  /// (memcmp -- the per-System fast path in front of the hashed cache).
-  bool matches(const MemoryImage& image) const;
-
-  /// FNV-1a-64 over the raw image bytes; the DecodeCache key.
-  std::uint64_t key() const { return key_; }
-
-  /// Decode memo indexed by raw byte value, for fetches that diverge from
-  /// the pre-decoded image (bit-identical to cpu::decode by construction).
-  static const std::array<Decoded, 256>& decode_table();
-
- private:
-  std::array<MicroOp, kMemWords> ops_;
-  std::uint64_t key_ = 0;
-};
-
-/// Process-wide memo of pre-decoded programs, keyed by image content.
-/// Campaigns pre-decode once and share across defects and worker systems.
-class DecodeCache {
- public:
-  static DecodeCache& global();
-
-  /// Returns the pre-decode of `image`, building it on first sight.
-  /// `built` (optional) reports whether this call performed the decode
-  /// pass (the caller's `decoded_programs` / `decode_cache_hits` split).
-  std::shared_ptr<const MicroProgram> obtain(const MemoryImage& image,
-                                             bool* built = nullptr);
-
-  void clear();
-  std::size_t size() const;
-
- private:
-  /// Bound on distinct programs kept; the map is dropped wholesale when
-  /// full (same policy as the campaign transition memo).
-  static constexpr std::size_t kCapacity = 256;
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const MicroProgram>> map_;
-};
 
 }  // namespace xtest::cpu

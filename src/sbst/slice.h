@@ -6,16 +6,16 @@
 // work, and later continue as if nothing happened.  A ProgramSlice owns
 // exactly that lifecycle: the first run() loads the program into the
 // system, every subsequent run() reinstates the saved architectural state
-// (soc::SliceState -- CPU registers, memory, bus held words, pre-decode)
+// (soc::SliceState -- CPU registers, memory, bus held words)
 // and continues for another cycle budget.
 //
 // The invariant the slice property tests pin down: for ANY sequence of
 // budgets, the concatenated slices produce the same memory contents, the
 // same cycle count, and the same halt reason as the single uninterrupted
-// run -- on every execution tier, under any defect, across different
-// System instances.  Budgets land on instruction boundaries the same way
-// Cpu::run's cumulative cycle cap does (the instruction in flight always
-// completes), so slicing is tier-exact by construction.
+// run -- under any defect, across different System instances.  Budgets
+// land on instruction boundaries the same way Cpu::run's cumulative cycle
+// cap does (the instruction in flight always completes), so slicing is
+// exact by construction.
 
 #pragma once
 

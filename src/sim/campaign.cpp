@@ -12,10 +12,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "cpu/microcode.h"
 #include "sim/campaign_driver.h"
 #include "sim/gold_cache.h"
-#include "sim/system_pool.h"
 #include "util/fault_injector.h"
 #include "xtalk/batch.h"
 
@@ -48,7 +46,6 @@ Verdict verdict_of(const OnlineOutcome& o) { return o.verdict; }
 
 template <typename Record>
 std::vector<Record> run_campaign(const soc::SystemConfig& config,
-                                 const sbst::TestProgram& program,
                                  std::size_t n, const CampaignOptions& options,
                                  const CampaignMode<Record>& mode) {
   const auto start = std::chrono::steady_clock::now();
@@ -63,23 +60,13 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
   util::CampaignStats discarded;
   util::CampaignStats& stats =
       options.stats != nullptr ? *options.stats : discarded;
-  // The program never changes across defects: pre-decode it once and pin
-  // the result on every simulator (gold, workers, retry), so no System
-  // re-validates the image per load.  Skipped under an armed injector so
-  // the cpu.decode fault site keeps its per-load decision.
-  std::shared_ptr<const cpu::MicroProgram> micro;
-  if (config.exec_tier != cpu::ExecTier::kReference &&
-      !util::FaultInjector::global().armed()) {
-    bool built = false;
-    micro = cpu::DecodeCache::global().obtain(program.image, &built);
-    ++(built ? stats.decoded_programs : stats.decode_cache_hits);
-  }
-  // Simulators come from the process-wide pool (system_pool.h) with the
-  // pre-decoded program pinned; stats absorb each lease's own counters.
-  const auto lease = [&config, &micro](bool fresh = false) {
-    SystemPool::Lease system = SystemPool::global().acquire(config, fresh);
-    system->set_micro_program(micro);
-    return system;
+  // Every simulator (gold, workers, retry) is built fresh for this
+  // campaign; its transition-cache counters go onto the stats when it is
+  // done.
+  const auto add_counters = [&stats](const soc::System& system) {
+    const soc::CacheCounters c = system.transition_cache_counters();
+    stats.cache_hits += c.hits;
+    stats.cache_misses += c.misses;
   };
 
   std::vector<Record> records(n);
@@ -161,27 +148,27 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
 
   std::uint64_t gold_cycles = 0;
   {
-    SystemPool::Lease gold_system = lease();
-    GoldStep<Record> step{*gold_system, stats, pending, cancelled, complete};
+    soc::System gold_system(config);
+    GoldStep<Record> step{gold_system, stats, pending, cancelled, complete};
     gold_cycles = mode.gold(step);
-    gold_system.add_counters(stats);
+    add_counters(gold_system);
   }
 
   // Each worker lazily owns its private simulator; records are written by
   // defect index, so the result is independent of the worker count and of
   // any interleaving.
   const unsigned workers = options.parallel.resolve(n);
-  std::vector<SystemPool::Lease> systems(workers);
+  std::vector<std::unique_ptr<soc::System>> systems(workers);
   const std::vector<util::ItemError> errors = util::parallel_for_items(
       n, options.parallel, [&](std::size_t i, unsigned w) {
         if (!pending[i] || cancelled()) return;
-        if (!systems[w]) systems[w] = lease();
+        if (!systems[w]) systems[w] = std::make_unique<soc::System>(config);
         std::uint64_t cycles = 0;
         const Record record = mode.simulate(i, *systems[w], cycles);
         complete(i, record, cycles);
       });
-  for (const SystemPool::Lease& s : systems)
-    if (s) s.add_counters(stats);
+  for (const std::unique_ptr<soc::System>& s : systems)
+    if (s) add_counters(*s);
 
   // Quarantine: each failed defect is retried once serially on a fresh
   // simulator (a transient poisoned-worker state cannot recur there); a
@@ -206,18 +193,16 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
     bool recovered = false;
     if (options.retry_errors) {
       ++retries;
-      // Never a pooled simulator: a transient poisoned-worker state
-      // cannot recur on a fresh one.
-      SystemPool::Lease fresh = lease(/*fresh=*/true);
+      soc::System fresh(config);
       try {
-        record = mode.simulate(e.index, *fresh, cycles);
+        record = mode.simulate(e.index, fresh, cycles);
         recovered = true;
       } catch (const std::exception& retry_error) {
         message = retry_error.what();
       } catch (...) {
         message = "unknown exception";
       }
-      fresh.add_counters(stats);
+      add_counters(fresh);
     }
     if (!recovered) {
       cycles = 0;
@@ -275,11 +260,11 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
 }
 
 template std::vector<Verdict> run_campaign<Verdict>(
-    const soc::SystemConfig&, const sbst::TestProgram&, std::size_t,
-    const CampaignOptions&, const CampaignMode<Verdict>&);
+    const soc::SystemConfig&, std::size_t, const CampaignOptions&,
+    const CampaignMode<Verdict>&);
 template std::vector<OnlineOutcome> run_campaign<OnlineOutcome>(
-    const soc::SystemConfig&, const sbst::TestProgram&, std::size_t,
-    const CampaignOptions&, const CampaignMode<OnlineOutcome>&);
+    const soc::SystemConfig&, std::size_t, const CampaignOptions&,
+    const CampaignMode<OnlineOutcome>&);
 
 }  // namespace detail
 
@@ -510,20 +495,9 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
   // armed fault injector bypasses the memo (see gold_cache.h).
   const bool gold_cacheable =
       options.reuse_gold && !util::FaultInjector::global().armed();
-  // Whole-run reuse (gold_cache.h): on accelerated tiers a defect's
-  // (verdict, cycles) outcome is a pure function of (gold key, bus,
-  // budget, defect factors), so repeated passes over the same library --
-  // bench reruns, per-line sweeps, resumed sessions -- replay from the
-  // process-wide memo instead of re-simulating.  Reference-tier campaigns
-  // keep the seed's simulate-every-defect behaviour, and gold_cacheable
-  // already excludes armed-injector runs (chaos faults must be able to
-  // hit every simulation).
-  const bool memo_runs =
-      gold_cacheable && config.exec_tier != cpu::ExecTier::kReference;
   ResponseSnapshot gold;
   std::uint64_t gold_key = 0;
   std::uint64_t budget = 0;
-  std::atomic<std::size_t> run_reuses{0};
 
   detail::CampaignMode<Verdict> mode;
   mode.default_key = default_checkpoint_key(bus, library);
@@ -566,25 +540,11 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
   };
   mode.simulate = [&](std::size_t i, soc::System& system,
                       std::uint64_t& cycles) {
-    std::uint64_t run_key = 0;
-    Verdict verdict;
-    if (memo_runs) {
-      run_key = defect_run_key(gold_key, bus, budget, library[i]);
-      if (DefectRunCache::global().find(run_key, verdict, cycles)) {
-        run_reuses.fetch_add(1, std::memory_order_relaxed);
-        return verdict;
-      }
-    }
-    verdict = simulate_one(system, bus, library[i], program, gold,
-                           budget, options.defect_deadline_ms, cycles);
-    if (memo_runs) DefectRunCache::global().store(run_key, verdict, cycles);
-    return verdict;
+    return simulate_one(system, bus, library[i], program, gold, budget,
+                        options.defect_deadline_ms, cycles);
   };
-  mode.tally = [&](const std::vector<Verdict>&, bool,
-                   util::CampaignStats& stats) {
-    stats.run_reuses += run_reuses.load();
-  };
-  return detail::run_campaign(config, program, n, options, mode);
+  mode.tally = [](const std::vector<Verdict>&, bool, util::CampaignStats&) {};
+  return detail::run_campaign(config, n, options, mode);
 }
 
 std::vector<Verdict> merge_shard_results(const std::vector<ShardResult>& shards,

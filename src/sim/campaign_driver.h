@@ -5,8 +5,7 @@
 // per library defect, compared against a gold run.  A mode supplies only
 // its gold step, its per-defect simulate function (whose record type picks
 // the checkpoint format) and its tally.  The driver owns the rest, once:
-// shard validation, the program pre-decode, checkpoint restore, the
-// per-worker simulators, the fan-out, the completion step (checkpoint
+// shard validation, checkpoint restore, the per-worker simulators, the fan-out, the completion step (checkpoint
 // record, progress hook, kill/crash sites), the quarantine retry, the
 // final flush, the counters and the CampaignInterrupted report.
 
@@ -17,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "sbst/program.h"
 #include "sim/campaign.h"
 #include "sim/checkpoint.h"
 #include "soc/system.h"
@@ -27,7 +25,7 @@ namespace xtest::sim::detail {
 /// What the driver hands a mode's gold step.
 template <typename Record>
 struct GoldStep {
-  /// The gold simulator, returned to the pool after the step.
+  /// The gold simulator, destroyed after the step.
   soc::System& system;
   /// The campaign's stats, for the step's own counters.
   util::CampaignStats& stats;
@@ -69,7 +67,6 @@ struct CampaignMode {
 /// for Verdict (off-line) and OnlineOutcome (on-line).
 template <typename Record>
 std::vector<Record> run_campaign(const soc::SystemConfig& config,
-                                 const sbst::TestProgram& program,
                                  std::size_t n, const CampaignOptions& options,
                                  const CampaignMode<Record>& mode);
 

@@ -48,10 +48,6 @@ std::uint64_t gold_run_key(const soc::SystemConfig& config,
   hash_geometry(h, config.control_geometry);
   h.f64(config.cth_ratio);
   h.f64(config.clock_period_scale);
-  // Tiers are bitwise-equivalent by contract, but a cached snapshot must
-  // never cross tiers: an accelerated-tier bug must not contaminate
-  // reference-tier verdicts through the memo (DESIGN.md).
-  h.u64(static_cast<std::uint64_t>(config.exec_tier));
   // The electrical backend recalibrates every receiver threshold, so a
   // snapshot from one backend must never answer for another.
   h.u64(static_cast<std::uint64_t>(config.electrical.backend));
@@ -159,75 +155,6 @@ void GoldRunCache::clear() {
 }
 
 std::size_t GoldRunCache::size() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
-  return im.map.size();
-}
-
-std::uint64_t defect_run_key(std::uint64_t gold_key, soc::BusKind bus,
-                             std::uint64_t budget,
-                             const xtalk::Defect& defect) {
-  Fnv1a h;
-  h.u64(gold_key);
-  h.u64(static_cast<std::uint64_t>(bus));
-  h.u64(budget);
-  h.u64(defect.width());
-  for (unsigned i = 0; i < defect.width(); ++i)
-    for (unsigned j = i + 1; j < defect.width(); ++j)
-      h.f64(defect.factor(i, j));
-  return h.h;
-}
-
-struct DefectRunCache::Impl {
-  struct Outcome {
-    Verdict verdict;
-    std::uint64_t cycles;
-  };
-
-  // A single defect-library pass stores one entry per defect; the cap
-  // covers hundreds of full libraries before the table is dropped.
-  static constexpr std::size_t kCapacity = 1u << 16;
-
-  std::mutex mutex;
-  std::unordered_map<std::uint64_t, Outcome> map;
-};
-
-DefectRunCache::Impl& DefectRunCache::impl() {
-  static Impl* instance = new Impl;
-  return *instance;
-}
-
-DefectRunCache& DefectRunCache::global() {
-  static DefectRunCache cache;
-  return cache;
-}
-
-bool DefectRunCache::find(std::uint64_t key, Verdict& verdict,
-                          std::uint64_t& cycles) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
-  const auto it = im.map.find(key);
-  if (it == im.map.end()) return false;
-  verdict = it->second.verdict;
-  cycles = it->second.cycles;
-  return true;
-}
-
-void DefectRunCache::store(std::uint64_t key, Verdict verdict,
-                           std::uint64_t cycles) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
-  if (im.map.size() >= Impl::kCapacity) im.map.clear();
-  im.map[key] = Impl::Outcome{verdict, cycles};
-}
-
-void DefectRunCache::clear() {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
-  im.map.clear();
-}
-
-std::size_t DefectRunCache::size() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mutex);
   return im.map.size();

@@ -23,9 +23,7 @@
 
 #include "sbst/program.h"
 #include "sim/signature.h"
-#include "sim/verdict.h"
 #include "soc/system.h"
-#include "xtalk/defect.h"
 
 namespace xtest::sim {
 
@@ -67,40 +65,6 @@ class GoldRunCache {
 
  private:
   GoldRunCache() = default;
-  struct Impl;
-  static Impl& impl();
-};
-
-/// Identity of one defect run: the gold-run key (which already pins the
-/// system configuration, execution tier, program bytes, response cells
-/// and gold cycle cap) extended with the bus under test, the run's cycle
-/// budget, and the defect's full perturbation-factor triangle.
-std::uint64_t defect_run_key(std::uint64_t gold_key, soc::BusKind bus,
-                             std::uint64_t budget,
-                             const xtalk::Defect& defect);
-
-/// Process-wide bounded memo of completed defect-run outcomes, the
-/// per-defect sibling of GoldRunCache: the simulator is deterministic, so
-/// (verdict, cycle count) is a pure function of the run key and a hit
-/// replays exactly what re-simulation would produce.  Campaigns consult
-/// it only on accelerated tiers (the reference interpreter keeps the
-/// seed's simulate-every-defect behaviour) and never while the fault
-/// injector is armed.  Thread-safe; a full table is simply dropped.
-class DefectRunCache {
- public:
-  static DefectRunCache& global();
-
-  /// Copies the memoed outcome into `verdict` / `cycles` on a hit.
-  bool find(std::uint64_t key, Verdict& verdict, std::uint64_t& cycles);
-
-  /// Records a *completed* (non-throwing) defect run.
-  void store(std::uint64_t key, Verdict verdict, std::uint64_t cycles);
-
-  void clear();
-  std::size_t size() const;
-
- private:
-  DefectRunCache() = default;
   struct Impl;
   static Impl& impl();
 };

@@ -223,7 +223,7 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
     }
   };
   result.outcomes =
-      detail::run_campaign(config, program, library.size(), options, mode);
+      detail::run_campaign(config, library.size(), options, mode);
   result.verdicts.reserve(result.outcomes.size());
   for (const OnlineOutcome& o : result.outcomes)
     result.verdicts.push_back(o.verdict);

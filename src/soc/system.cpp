@@ -1,22 +1,8 @@
 #include "soc/system.h"
 
-#include <cstring>
-
-#include "util/fault_injector.h"
-
 namespace xtest::soc {
 
 namespace {
-
-/// Pool capacity per bus: comfortably above a campaign shard's defect
-/// count; overflow retires the whole pool rather than tracking LRU.
-constexpr std::size_t kDefectPoolCap = 256;
-
-/// Per-defect pooled memos are much smaller than the channel default: one
-/// defect run touches a few dozen unique transitions, and the allocation
-/// is paid per pooled defect, so a compact table keeps cold campaign
-/// passes from spending their time first-touching cache pages.
-constexpr unsigned kPoolCacheLog2 = 8;
 
 /// Backend-calibrated thresholds with the sampling slack stretched by the
 /// clock scale (a slower clock tolerates proportionally slower
@@ -36,21 +22,6 @@ xtalk::TransitionCache make_cache(bool enabled, unsigned width) {
   return xtalk::TransitionCache{width};
 }
 
-xtalk::TransitionCache make_pool_cache(bool enabled, unsigned width) {
-  if (!enabled || !xtalk::TransitionCache::cacheable(width))
-    return xtalk::TransitionCache{};
-  return xtalk::TransitionCache{width, kPoolCacheLog2};
-}
-
-/// True when this configuration serves defect evaluation from the pool:
-/// the per-channel `cache` is then dead weight (defective transfers use
-/// the pooled per-defect memo instead), and skipping its allocation keeps
-/// simulator construction off the cold-campaign critical path.
-bool pools_defects(const SystemConfig& c) {
-  return c.exec_tier != cpu::ExecTier::kReference && c.fast_receive &&
-         c.transition_cache;
-}
-
 }  // namespace
 
 System::System(const SystemConfig& config)
@@ -67,115 +38,22 @@ System::System(const SystemConfig& config)
       ctrl_model_(scaled_calibration(config.electrical, nominal_ctrl_net_,
                                      ctrl_cth_, config.clock_period_scale)),
       fast_receive_(config.fast_receive),
-      use_cache_(config.transition_cache),
       nominal_addr_eval_(nominal_addr_net_, addr_model_.config()),
       nominal_data_eval_(nominal_data_net_, data_model_.config()),
       nominal_ctrl_eval_(nominal_ctrl_net_, ctrl_model_.config()),
-      // `warm` only earns its allocation when nominal transfers can reach
-      // a cache lookup at all -- a provably-identity nominal evaluator
-      // early-exits every transfer before the memo.
       addr_{nominal_addr_net_, nominal_addr_eval_,
-            make_cache(use_cache_ && !pools_defects(config),
-                       nominal_addr_net_.width()),
-            make_cache(use_cache_ &&
-                           config.exec_tier != cpu::ExecTier::kReference &&
-                           !nominal_addr_eval_.always_identity(),
-                       nominal_addr_net_.width()),
-            true,
-            {},
-            nullptr},
+            make_cache(config.transition_cache, nominal_addr_net_.width())},
       data_{nominal_data_net_, nominal_data_eval_,
-            make_cache(use_cache_ && !pools_defects(config),
-                       nominal_data_net_.width()),
-            make_cache(use_cache_ &&
-                           config.exec_tier != cpu::ExecTier::kReference &&
-                           !nominal_data_eval_.always_identity(),
-                       nominal_data_net_.width()),
-            true,
-            {},
-            nullptr},
+            make_cache(config.transition_cache, nominal_data_net_.width())},
       ctrl_{nominal_ctrl_net_, nominal_ctrl_eval_,
-            make_cache(use_cache_ && !pools_defects(config),
-                       nominal_ctrl_net_.width()),
-            make_cache(use_cache_ &&
-                           config.exec_tier != cpu::ExecTier::kReference &&
-                           !nominal_ctrl_eval_.always_identity(),
-                       nominal_ctrl_net_.width()),
-            true,
-            {},
-            nullptr},
-      exec_tier_(config.exec_tier) {}
-
-// ~System lives in exec_tier.cpp, where the Jit state is a complete type.
+            make_cache(config.transition_cache, nominal_ctrl_net_.width())} {}
 
 void System::set_network(BusChannel& channel,
                          const xtalk::CrosstalkErrorModel& model,
                          xtalk::RcNetwork net) {
   channel.net = std::move(net);
-  channel.nominal = false;
-  channel.pooled = nullptr;
-  if (exec_tier_ != cpu::ExecTier::kReference && fast_receive_ && use_cache_) {
-    // Accelerated tiers pool defect state: campaign passes and repeated
-    // sessions re-apply the same perturbed networks, and both the
-    // evaluator and the memo are pure functions of the capacitances.
-    channel.pooled = pool_entry(channel, model);
-    if (channel.pooled != nullptr) return;
-  }
   channel.eval = xtalk::BusEvaluator(channel.net, model.config());
   channel.cache.invalidate();
-  // The warm memo only answers while the channel is nominal, so its
-  // entries stay valid across the perturbation -- no invalidation.
-}
-
-System::PooledDefect* System::pool_entry(
-    BusChannel& channel, const xtalk::CrosstalkErrorModel& model) {
-  const xtalk::RcNetwork& net = channel.net;
-  const unsigned w = net.width();
-  std::vector<double> caps;
-  caps.reserve(static_cast<std::size_t>(w) * w + w + 1);
-  for (unsigned i = 0; i < w; ++i) {
-    for (unsigned j = 0; j < w; ++j) caps.push_back(net.coupling(i, j));
-    caps.push_back(net.ground_cap(i));
-  }
-  caps.push_back(net.driver_resistance());
-  // splitmix64-style chained mix, one step per capacitance.  Hash quality
-  // only affects speed: correctness rests on the exact `caps` comparison.
-  std::uint64_t key = 0x9E3779B97F4A7C15ull;
-  for (const double c : caps) {
-    std::uint64_t x = 0;
-    std::memcpy(&x, &c, sizeof x);
-    x += 0x9E3779B97F4A7C15ull + key;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    key = x ^ (x >> 31);
-  }
-  auto it = channel.pool.find(key);
-  if (it != channel.pool.end() && it->second.caps != caps) {
-    // Content-hash collision with *different* capacitances: retire the
-    // old entry -- a wrong evaluator must never be served.
-    retired_.hits += it->second.cache.hits();
-    retired_.misses += it->second.cache.misses();
-    channel.pool.erase(it);
-    it = channel.pool.end();
-  }
-  if (it == channel.pool.end()) {
-    if (channel.pool.size() >= kDefectPoolCap) flush_pool(channel);
-    it = channel.pool
-             .emplace(key, PooledDefect{std::move(caps),
-                                        xtalk::BusEvaluator(net, model.config()),
-                                        make_pool_cache(use_cache_, w)})
-             .first;
-  }
-  return &it->second;
-}
-
-void System::flush_pool(BusChannel& channel) {
-  for (const auto& [key, entry] : channel.pool) {
-    retired_.hits += entry.cache.hits();
-    retired_.misses += entry.cache.misses();
-  }
-  channel.pool.clear();
-  channel.pooled = nullptr;
 }
 
 void System::set_address_network(xtalk::RcNetwork net) {
@@ -197,48 +75,23 @@ void System::clear_defects() {
   addr_.eval = nominal_addr_eval_;
   data_.eval = nominal_data_eval_;
   ctrl_.eval = nominal_ctrl_eval_;
-  // Per-defect memos die with the defect; the warm nominal memos survive
-  // (their entries only ever came from the nominal evaluators), and
-  // pooled defect state merely goes dormant until its defect returns.
   addr_.cache.invalidate();
   data_.cache.invalidate();
   ctrl_.cache.invalidate();
-  addr_.pooled = nullptr;
-  data_.pooled = nullptr;
-  ctrl_.pooled = nullptr;
-  addr_.nominal = true;
-  data_.nominal = true;
-  ctrl_.nominal = true;
 }
 
 void System::set_forced_maf(std::optional<ForcedMaf> f) {
   forced_ = f;
-  for (BusChannel* ch : {&addr_, &data_, &ctrl_}) {
-    ch->cache.invalidate();
-    ch->warm.invalidate();
-    for (auto& [key, entry] : ch->pool) entry.cache.invalidate();
-  }
+  for (BusChannel* ch : {&addr_, &data_, &ctrl_}) ch->cache.invalidate();
 }
 
 CacheCounters System::transition_cache_counters() const {
-  CacheCounters c = retired_;
+  CacheCounters c;
   for (const BusChannel* ch : {&addr_, &data_, &ctrl_}) {
-    c.hits += ch->cache.hits() + ch->warm.hits();
-    c.misses += ch->cache.misses() + ch->warm.misses();
-    for (const auto& [key, entry] : ch->pool) {
-      c.hits += entry.cache.hits();
-      c.misses += entry.cache.misses();
-    }
+    c.hits += ch->cache.hits();
+    c.misses += ch->cache.misses();
   }
   return c;
-}
-
-xtalk::TransitionCache* System::active_cache(BusChannel& channel) {
-  if (!use_cache_) return nullptr;
-  if (channel.pooled != nullptr) return &channel.pooled->cache;
-  if (exec_tier_ != cpu::ExecTier::kReference && channel.nominal)
-    return &channel.warm;
-  return &channel.cache;
 }
 
 void System::attach_mmio(cpu::Addr base, cpu::Addr size, MmioDevice* device) {
@@ -251,31 +104,6 @@ void System::load_and_reset(const cpu::MemoryImage& image, cpu::Addr entry) {
   data_bus_.reset();
   ctrl_bus_.reset();
   cpu_.reset(entry);
-  if (exec_tier_ != cpu::ExecTier::kReference) {
-    // Pre-decode (or reuse) the micro-op table.  An injected decode
-    // failure degrades this system to the reference interpreter for the
-    // coming run instead of erroring the defect (site "cpu.decode").
-    if (util::FaultInjector::global().fire("cpu.decode")) {
-      micro_.reset();
-    } else if (prefetched_micro_ != nullptr) {
-      // Campaign fast path: the caller pinned the pre-decode for the
-      // image it keeps reloading, so skip re-validating all 4K bytes.  A
-      // wrong pin is safe -- every fetched byte is checked against the
-      // stored micro-op at execution time and a mismatch bails the run
-      // out to the reference interpreter -- it only costs speed.
-      micro_ = prefetched_micro_;
-      ++tier_.decode_cache_hits;
-    } else if (micro_ != nullptr && micro_->matches(image)) {
-      ++tier_.decode_cache_hits;  // same program as the previous load
-    } else {
-      bool built = false;
-      micro_ = cpu::DecodeCache::global().obtain(image, &built);
-      if (built)
-        ++tier_.decoded_programs;
-      else
-        ++tier_.decode_cache_hits;
-    }
-  }
 }
 
 SliceState System::save_slice() const {
@@ -285,7 +113,6 @@ SliceState System::save_slice() const {
   s.addr_held = addr_bus_.held();
   s.data_held = data_bus_.held();
   s.ctrl_held = ctrl_bus_.held();
-  s.micro = micro_;
   return s;
 }
 
@@ -295,15 +122,9 @@ void System::restore_slice(const SliceState& state) {
   data_bus_.restore_held(state.data_held);
   ctrl_bus_.restore_held(state.ctrl_held);
   cpu_.restore(state.cpu);
-  // Re-pin the slice's pre-decode so the resumed run stays decoded-tier
-  // eligible.  A stale table is safe: every fetched byte is checked
-  // against it at execution time (a mismatch bails to the reference
-  // interpreter), exactly as for set_micro_program.
-  if (exec_tier_ != cpu::ExecTier::kReference) micro_ = state.micro;
 }
 
 RunResult System::run(std::uint64_t max_cycles) {
-  if (exec_tier_ != cpu::ExecTier::kReference) return run_tiered(max_cycles);
   cpu_.run(max_cycles);
   return {cpu_.cycles(), cpu_.halted(), cpu_.halt_reason()};
 }
@@ -315,7 +136,7 @@ util::BusWord System::apply_bus(TristateBus& bus, BusChannel& channel,
   const xtalk::VectorPair pair{bus.held(), driven};
   util::BusWord received =
       fast_receive_
-          ? bus.transfer(driven, channel.active_eval(), active_cache(channel))
+          ? bus.transfer(driven, &channel.eval, &channel.cache)
           : bus.transfer(driven, &channel.net, &model);
   if (forced_ && forced_->bus == bus.kind() &&
       forced_->fault.direction == direction &&

@@ -20,15 +20,10 @@
 #include <optional>
 #include <vector>
 
-#include <cstddef>
-#include <memory>
-#include <unordered_map>
-
 #include "cpu/cpu.h"
 #include "cpu/memory_image.h"
 #include "cpu/microcode.h"
 #include "soc/bus.h"
-#include "soc/exec_tier.h"
 #include "soc/control.h"
 #include "soc/memory.h"
 #include "soc/mmio.h"
@@ -59,16 +54,9 @@ struct SystemConfig {
   /// for equivalence testing.
   bool fast_receive = true;      ///< precomputed per-defect BusEvaluator
   bool transition_cache = true;  ///< memoize (held, driven) per defect
-  /// Execution tier (cpu/microcode.h).  "decoded" pre-decodes the program
-  /// into a micro-op array and runs a fused dispatch loop; "jit"
-  /// additionally compiles straight-line blocks to native code.  Every
-  /// tier produces bitwise-identical results (tests/test_exec_tier.cpp);
-  /// runs that an accelerated tier cannot prove equivalent -- corrupted or
-  /// self-modified instruction fetches, forced MAFs, traces, MMIO windows
-  /// -- fall back to the reference interpreter.  Mid-program resumes from
-  /// a SliceState stay decoded: the pre-decoded program travels with the
-  /// slice and the per-fetch guard re-validates it.
-  cpu::ExecTier exec_tier = cpu::ExecTier::kDecoded;
+  /// Execution tier (cpu/microcode.h).  The reference interpreter is the
+  /// only one; the field keeps the `system.exec_tier` key round-tripping.
+  cpu::ExecTier exec_tier = cpu::ExecTier::kReference;
   /// Electrical backend of every bus receiver (xtalk/electrical.h).  The
   /// default full-swing backend reproduces the paper's calibration
   /// bit-for-bit; low-swing recalibrates the thresholds for a reduced
@@ -82,14 +70,6 @@ struct SystemConfig {
 struct CacheCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-};
-
-/// Execution-tier counters (all zero on the reference tier).
-struct TierCounters {
-  std::uint64_t decoded_programs = 0;   ///< pre-decode passes performed
-  std::uint64_t decode_cache_hits = 0;  ///< pre-decodes reused from a memo
-  std::uint64_t jit_blocks = 0;         ///< straight-line blocks compiled
-  std::uint64_t jit_bailouts = 0;       ///< runs degraded to a slower tier
 };
 
 struct RunResult {
@@ -108,21 +88,18 @@ struct ForcedMaf {
 /// the 4K memory, and the held word of each tri-state bus.  restore_slice
 /// reinstates all of it, so execution resumed from a SliceState forms
 /// exactly the bus transitions the uninterrupted run would have formed --
-/// the invariant the slice property tests pin down.  The pre-decoded micro
-/// program rides along so a resumed slice stays decoded-tier eligible.
+/// the invariant the slice property tests pin down.
 struct SliceState {
   cpu::CpuState cpu;
   std::array<std::uint8_t, cpu::kMemWords> memory{};
   util::BusWord addr_held = util::BusWord::zeros(cpu::kAddrBits);
   util::BusWord data_held = util::BusWord::zeros(cpu::kDataBits);
   util::BusWord ctrl_held = util::BusWord::zeros(kControlBits);
-  std::shared_ptr<const cpu::MicroProgram> micro;
 };
 
 class System : public cpu::BusPort {
  public:
   explicit System(const SystemConfig& config = {});
-  ~System() override;
 
   // --- configuration -----------------------------------------------------
   const xtalk::RcNetwork& nominal_address_network() const {
@@ -162,28 +139,12 @@ class System : public cpu::BusPort {
   /// construction (0/0 when the cache is disabled).
   CacheCounters transition_cache_counters() const;
 
-  cpu::ExecTier exec_tier() const { return exec_tier_; }
-
-  /// Execution-tier counters accumulated since construction.
-  TierCounters tier_counters() const { return tier_; }
-
-  /// Pins a pre-decoded micro program for the image this system is about
-  /// to keep reloading (a campaign runs one program across every defect).
-  /// load_and_reset then reuses it without re-validating the image: a
-  /// stale pin is safe -- execution checks every fetched byte and bails
-  /// out to the reference interpreter on mismatch -- it only costs speed.
-  /// Pass nullptr to restore per-load validation.
-  void set_micro_program(std::shared_ptr<const cpu::MicroProgram> p) {
-    prefetched_micro_ = std::move(p);
-  }
-
   /// Attach a peripheral core at [base, base+size).  The window shadows
   /// memory for CPU accesses.
   void attach_mmio(cpu::Addr base, cpu::Addr size, MmioDevice* device);
 
   /// Detaches every MMIO window (the interleaved scheduler swaps windows
-  /// between the functional and the test context).  Detaching makes a
-  /// traceless run decoded-tier eligible again.
+  /// between the functional and the test context).
   void clear_mmio() { mmio_.clear(); }
 
   void set_trace(BusTrace* trace) { trace_ = trace; }
@@ -191,7 +152,7 @@ class System : public cpu::BusPort {
   // --- slicing -------------------------------------------------------------
 
   /// Captures the architectural state of the (suspended) program: CPU
-  /// registers, memory, bus held words, and the current pre-decode.
+  /// registers, memory and bus held words.
   SliceState save_slice() const;
 
   /// Reinstates a captured state.  Execution continued with run() is
@@ -231,41 +192,13 @@ class System : public cpu::BusPort {
   /// Control-bus transfer (CPU drives); returns the word memory receives.
   ControlView send_control(bool write);
 
-  /// One defect's evaluation state parked for reuse.  Both the evaluator
-  /// and the transition memo are pure functions of the perturbed
-  /// capacitances, so when a campaign pass (or a later session) re-applies
-  /// the same defect, an exact content match revives them with every
-  /// cached entry intact.  `caps` holds the raw capacitances for that
-  /// exact match -- the pool key is only a content hash.
-  struct PooledDefect {
-    std::vector<double> caps;
-    xtalk::BusEvaluator eval;
-    xtalk::TransitionCache cache;
-  };
-
   /// One bus's active evaluation state: the defect-applied network, its
-  /// precomputed fast evaluator, and the per-defect transition memo.  On
-  /// accelerated tiers `warm` is a second, long-lived memo used only
-  /// while the channel is nominal: a campaign perturbs one bus per
-  /// defect, so the other two re-evaluate the same nominal transitions on
-  /// every run, and clear_defects() deliberately leaves `warm` intact
-  /// (its entries are pure functions of the immutable nominal evaluator;
-  /// forced-MAF overrides are applied after the transfer, so cached words
-  /// never embed them).  `pool` extends the same idea to defect state:
-  /// accelerated tiers serve the evaluator and memo of a re-applied
-  /// defect from the pool (`pooled` non-null) instead of rebuilding them.
+  /// precomputed fast evaluator, and the per-defect transition memo (empty
+  /// when the transition cache is off).
   struct BusChannel {
     xtalk::RcNetwork net;
     xtalk::BusEvaluator eval;
     xtalk::TransitionCache cache;
-    xtalk::TransitionCache warm;
-    bool nominal = true;
-    std::unordered_map<std::uint64_t, PooledDefect> pool;
-    PooledDefect* pooled = nullptr;
-
-    const xtalk::BusEvaluator* active_eval() const {
-      return pooled != nullptr ? &pooled->eval : &eval;
-    }
   };
 
   util::BusWord apply_bus(TristateBus& bus, BusChannel& channel,
@@ -279,25 +212,6 @@ class System : public cpu::BusPort {
   void core_write(cpu::Addr addr, std::uint8_t data);
   MmioWindow* window_at(cpu::Addr addr);
 
-  /// Finds (exact capacitance match) or creates the pool entry for the
-  /// network currently installed in `channel`.
-  PooledDefect* pool_entry(BusChannel& channel,
-                           const xtalk::CrosstalkErrorModel& model);
-  /// Retires every pooled cache's counters into `retired_` and empties
-  /// the pool (capacity cap, forced-MAF belt-and-suspenders).
-  void flush_pool(BusChannel& channel);
-
-  /// The memo a transfer on `channel` consults: the persistent nominal
-  /// memo on accelerated tiers while the channel is nominal, else the
-  /// per-defect cache; null when caching is disabled.
-  xtalk::TransitionCache* active_cache(BusChannel& channel);
-
-  /// Accelerated executors (soc/exec_tier.cpp).  run_tiered dispatches a
-  /// decoded-tier-eligible run to the fused micro-op loop (optionally
-  /// through JIT-compiled blocks) and finishes any bailed-out run on the
-  /// reference interpreter.
-  RunResult run_tiered(std::uint64_t max_cycles);
-
   xtalk::RcNetwork nominal_addr_net_;
   xtalk::RcNetwork nominal_data_net_;
   xtalk::RcNetwork nominal_ctrl_net_;
@@ -308,7 +222,6 @@ class System : public cpu::BusPort {
   xtalk::CrosstalkErrorModel data_model_;
   xtalk::CrosstalkErrorModel ctrl_model_;
   bool fast_receive_;
-  bool use_cache_;
   // Nominal evaluators, prebuilt so clear_defects (once per defect in a
   // campaign) restores them by copy instead of re-deriving rows.
   xtalk::BusEvaluator nominal_addr_eval_;
@@ -326,13 +239,6 @@ class System : public cpu::BusPort {
   cpu::Cpu cpu_{*this};
   BusTrace* trace_ = nullptr;
   std::optional<ForcedMaf> forced_;
-
-  cpu::ExecTier exec_tier_;
-  CacheCounters retired_;  // counters of evicted pooled caches
-  std::shared_ptr<const cpu::MicroProgram> micro_;  // pre-decode of memory_
-  std::shared_ptr<const cpu::MicroProgram> prefetched_micro_;  // pinned
-  TierCounters tier_;
-  std::unique_ptr<ExecTierJit> jit_;
 };
 
 }  // namespace xtest::soc

@@ -128,8 +128,7 @@ std::string CampaignStats::json(const std::string& label) const {
       "\"run_reuses\":%zu,"
       "\"batch_screened\":%zu,\"batched_transitions\":%llu,"
       "\"batch_lanes\":%zu,\"batch_capacity\":%zu,\"batch_fill\":%.4f,"
-      "\"decoded_programs\":%llu,\"decode_cache_hits\":%llu,"
-      "\"jit_blocks\":%llu,\"jit_bailouts\":%llu,"
+      "\"decode_cache_hits\":%llu,\"jit_bailouts\":%llu,"
       "\"online_rounds\":%llu,\"online_mmio_heartbeats\":%llu,"
       "\"online_deadlines_late\":%llu,\"online_deadlines_missed\":%llu,"
       "\"online_detection_latency_cycles\":%llu,"
@@ -146,9 +145,7 @@ std::string CampaignStats::json(const std::string& label) const {
       gold_reuses, gold_evictions, run_reuses, batch_screened,
       static_cast<unsigned long long>(batched_transitions), batch_lanes,
       batch_capacity, batch_fill(),
-      static_cast<unsigned long long>(decoded_programs),
       static_cast<unsigned long long>(decode_cache_hits),
-      static_cast<unsigned long long>(jit_blocks),
       static_cast<unsigned long long>(jit_bailouts),
       static_cast<unsigned long long>(online_rounds),
       static_cast<unsigned long long>(online_mmio_heartbeats),
@@ -184,9 +181,7 @@ void CampaignStats::merge_from(const CampaignStats& other) {
   batched_transitions += other.batched_transitions;
   batch_lanes += other.batch_lanes;
   batch_capacity += other.batch_capacity;
-  decoded_programs += other.decoded_programs;
   decode_cache_hits += other.decode_cache_hits;
-  jit_blocks += other.jit_blocks;
   jit_bailouts += other.jit_bailouts;
   online_rounds += other.online_rounds;
   online_mmio_heartbeats += other.online_mmio_heartbeats;
@@ -272,9 +267,7 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
   any |= json_counter(obj, "batched_transitions", out.batched_transitions);
   any |= json_counter(obj, "batch_lanes", out.batch_lanes);
   any |= json_counter(obj, "batch_capacity", out.batch_capacity);
-  any |= json_counter(obj, "decoded_programs", out.decoded_programs);
   any |= json_counter(obj, "decode_cache_hits", out.decode_cache_hits);
-  any |= json_counter(obj, "jit_blocks", out.jit_blocks);
   any |= json_counter(obj, "jit_bailouts", out.jit_bailouts);
   any |= json_counter(obj, "online_rounds", out.online_rounds);
   any |= json_counter(obj, "online_mmio_heartbeats",

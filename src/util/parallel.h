@@ -129,9 +129,9 @@ struct CampaignStats {
   /// Gold snapshots evicted by the memo's LRU entry cap during this
   /// campaign's stores (process-wide memo, so sweeps accumulate).
   std::size_t gold_evictions = 0;
-  /// Whole defect runs answered from the process-wide run memo instead of
-  /// re-simulated (accelerated tiers only; the memoed verdict and cycle
-  /// count are the exact values the re-simulation would produce).
+  /// Always 0: every defect run is simulated (the whole-run memo was
+  /// removed with the accelerated execution tiers, DESIGN.md D13).  Kept
+  /// so stats consumers that read the field keep working.
   std::size_t run_reuses = 0;
   // Transition-major batched screening (verdicts are unaffected: a
   // screened defect provably produces the gold response).
@@ -145,17 +145,10 @@ struct CampaignStats {
   /// batch fill.
   std::size_t batch_lanes = 0;
   std::size_t batch_capacity = 0;
-  // Execution-tier counters (cpu/microcode.h; verdicts are unaffected:
-  // accelerated tiers are bitwise-equivalent or finish on the reference
-  // interpreter).  All zero on the reference tier.
-  /// Program images pre-decoded into micro-op arrays.
-  std::uint64_t decoded_programs = 0;
-  /// Pre-decode passes answered from a decode memo instead of rebuilt.
+  // Former execution-tier counters.  Always 0: the reference interpreter
+  // is the only executor (DESIGN.md D13).  Kept so stats consumers that
+  // read the fields keep working.
   std::uint64_t decode_cache_hits = 0;
-  /// Straight-line blocks compiled by the jit tier.
-  std::uint64_t jit_blocks = 0;
-  /// Runs degraded to a slower tier (self-modified instruction fetch,
-  /// mid-program resume, unavailable jit backend).
   std::uint64_t jit_bailouts = 0;
   // On-line interleaved campaigns (sim/online.h; all zero in off-line
   // mode).  Pure functions of the campaign inputs, like the verdicts:

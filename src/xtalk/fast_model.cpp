@@ -100,8 +100,9 @@ std::uint64_t BusEvaluator::receive(std::uint64_t v1, std::uint64_t v2) const {
   return out;
 }
 
-TransitionCache::TransitionCache(unsigned width, unsigned log2_entries) {
+TransitionCache::TransitionCache(unsigned width) {
   assert(cacheable(width));
+  unsigned log2_entries = 14;
   if (log2_entries > 2 * width) log2_entries = 2 * width;
   // At least one full set of two ways (width >= 1 keeps 2 in range).
   if (log2_entries < 2) log2_entries = 2;

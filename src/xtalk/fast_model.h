@@ -105,9 +105,9 @@ class TransitionCache {
   /// Empty cache: lookups miss without counting, inserts are dropped.
   TransitionCache() = default;
 
-  /// `log2_entries` is the total entry count (two ways per set), clamped
-  /// to the key space (2 * width bits).
-  explicit TransitionCache(unsigned width, unsigned log2_entries = 14);
+  /// 2^14 entries (two ways per set), clamped to the key space
+  /// (2 * width bits).
+  explicit TransitionCache(unsigned width);
 
   /// Whether the packed key is collision-free for this bus width.
   static bool cacheable(unsigned width) { return width >= 1 && width <= 16; }

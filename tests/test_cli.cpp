@@ -104,9 +104,6 @@ TEST(Cli, CampaignReportsCoverage) {
 }
 
 TEST(Cli, CampaignReportsHotPathCounters) {
-  // A seed no other in-process test uses: the process-wide run memo
-  // (sim::DefectRunCache) would otherwise replay a colliding campaign's
-  // defects wholesale and this cold run would see no cache traffic.
   const CliRun r = run_cli({"campaign", "--bus", "data", "--defects", "10",
                             "--seed", "7031", "--stats-json"});
   ASSERT_EQ(r.code, 0) << r.err;
@@ -115,7 +112,6 @@ TEST(Cli, CampaignReportsHotPathCounters) {
   EXPECT_EQ(r.out.find("cache_hits=0 "), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("cache_hit_rate="), std::string::npos);
   EXPECT_NE(r.out.find("gold_reuses="), std::string::npos);
-  EXPECT_NE(r.out.find("run_reuses="), std::string::npos);
   // --stats-json appends the machine-readable record.
   EXPECT_NE(r.out.find("{\"campaign\":\"campaign\""), std::string::npos);
   EXPECT_NE(r.out.find("\"cache_hits\":"), std::string::npos);
@@ -408,7 +404,18 @@ TEST(Cli, UnknownExecTierIsAUsageErrorNamingTheFlag) {
   }
 }
 
+/// The coverage and verdict-breakdown lines of a campaign's output.
+std::string campaign_verdict_lines(const std::string& out) {
+  std::string lines;
+  std::istringstream in(out);
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("bus=", 0) == 0 || line.rfind("detected=", 0) == 0)
+      lines += line + "\n";
+  return lines;
+}
+
 TEST(Cli, ExecTierFlagSelectsTheTierAndKeepsVerdictsIdentical) {
+  // "decoded" and "jit" are older spellings of the one interpreter.
   const std::vector<std::string> base = {"campaign", "--bus",  "data",
                                          "--defects", "8",     "--seed",
                                          "11",        "--threads", "1"};
@@ -417,42 +424,59 @@ TEST(Cli, ExecTierFlagSelectsTheTierAndKeepsVerdictsIdentical) {
     args.insert(args.end(), {"--exec-tier", tier});
     return run_cli(args);
   };
-  const CliRun dec = with("decoded");
   const CliRun ref = with("reference");
-  ASSERT_EQ(dec.code, 0) << dec.err;
   ASSERT_EQ(ref.code, 0) << ref.err;
-  EXPECT_NE(dec.out.find("tier=decoded"), std::string::npos) << dec.out;
-  EXPECT_NE(ref.out.find("tier=reference"), std::string::npos) << ref.out;
-  const auto line = [](const std::string& s, const char* prefix) {
-    const std::size_t p = s.find(prefix);
-    EXPECT_NE(p, std::string::npos) << s;
-    return s.substr(p, s.find('\n', p) - p);
-  };
-  EXPECT_EQ(line(dec.out, "detected="), line(ref.out, "detected="));
+  ASSERT_NE(campaign_verdict_lines(ref.out), "") << ref.out;
+  for (const char* tier : {"decoded", "jit"}) {
+    const CliRun r = with(tier);
+    ASSERT_EQ(r.code, 0) << tier << ": " << r.err;
+    EXPECT_EQ(campaign_verdict_lines(r.out), campaign_verdict_lines(ref.out))
+        << tier;
+  }
 }
 
 TEST(Cli, ScenariosDumpRoundTripsTheExecTierKey) {
   const CliRun dump = run_cli({"scenarios", "--dump", "paper-baseline"});
   ASSERT_EQ(dump.code, 0) << dump.err;
-  const std::string key = "system.exec_tier = decoded";
+  const std::string key = "system.exec_tier = reference";
   ASSERT_NE(dump.out.find(key), std::string::npos) << dump.out;
-
-  // Overriding the key in a scenario file survives a dump round-trip.
-  std::string text = dump.out;
-  text.replace(text.find(key), key.size(), "system.exec_tier = reference");
   const std::string path = temp_path("tier.scn");
-  {
+  const auto write_with = [&](const std::string& value) {
+    std::string text = dump.out;
+    text.replace(text.find(key), key.size(), "system.exec_tier = " + value);
     std::ofstream f(path);
     f << text;
+  };
+  const std::vector<std::string> small = {"--defects", "8", "--threads", "1"};
+  const auto campaign = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = {"campaign", "--scenario", path};
+    args.insert(args.end(), small.begin(), small.end());
+    args.insert(args.end(), extra.begin(), extra.end());
+    return run_cli(args);
+  };
+  write_with("reference");
+  const CliRun ref = campaign({});
+  ASSERT_EQ(ref.code, 0) << ref.err;
+
+  // Scenario files (and queued jobs) written when "decoded" and "jit"
+  // were separate tiers still load, run the one interpreter with the
+  // same verdict lines -- also under the matching --exec-tier flag -- and
+  // dump back as "reference".
+  for (const char* old : {"decoded", "jit"}) {
+    write_with(old);
+    const CliRun redump = run_cli({"scenarios", "--dump", path});
+    ASSERT_EQ(redump.code, 0) << redump.err;
+    EXPECT_EQ(redump.out, dump.out) << old;
+    for (const bool flag : {false, true}) {
+      const CliRun r = flag ? campaign({"--exec-tier", old}) : campaign({});
+      ASSERT_EQ(r.code, 0) << old << ": " << r.err;
+      EXPECT_EQ(campaign_verdict_lines(r.out), campaign_verdict_lines(ref.out))
+          << old << (flag ? " with --exec-tier" : "");
+    }
   }
-  const CliRun redump = run_cli({"scenarios", "--dump", path});
-  ASSERT_EQ(redump.code, 0) << redump.err;
-  EXPECT_NE(redump.out.find("system.exec_tier = reference"),
-            std::string::npos)
-      << redump.out;
 
   // An unknown tier value is a usage error naming the key and its line.
-  text = dump.out;
+  std::string text = dump.out;
   text.replace(text.find(key), key.size(), "system.exec_tier = warp");
   {
     std::ofstream f(path);

@@ -1,9 +1,8 @@
-// Equivalence and unit tests for the pre-decoded execution tiers: every
-// tier must produce bitwise-identical run results, signatures and campaign
-// verdicts to the reference interpreter, and every path an accelerated
-// tier cannot prove equivalent -- self-modified fetches, watchdog-slice
-// resumes, injected decode/jit failures -- must bail out to the reference
-// interpreter instead of diverging.
+// The one execution tier: the reference interpreter drives every run, the
+// old "decoded" and "jit" spellings still parse to it, and the default
+// hot-path configuration (fast receive + transition cache) matches the
+// seed evaluation path bitwise -- single runs, generated programs and
+// whole campaigns on every built-in scenario.
 
 #include "cpu/microcode.h"
 
@@ -15,49 +14,40 @@
 #include <string>
 #include <vector>
 
-#include "cpu/jit_buffer.h"
 #include "sbst/generator.h"
 #include "sim/campaign.h"
-#include "sim/gold_cache.h"
-#include "sim/system_pool.h"
 #include "soc/system.h"
 #include "spec/scenario.h"
-#include "util/fault_injector.h"
 #include "util/parallel.h"
-#include "xtalk/defect.h"
 
 namespace xtest {
 namespace {
 
 using cpu::ExecTier;
 
-soc::SystemConfig tier_config(ExecTier tier) {
+/// The seed evaluation path end to end: reference error model, no memo.
+soc::SystemConfig seed_config() {
   soc::SystemConfig c;
-  c.exec_tier = tier;
-  if (tier == ExecTier::kReference) {
-    // The reference configuration is the seed evaluation path end to end.
-    c.fast_receive = false;
-    c.transition_cache = false;
-  }
+  c.fast_receive = false;
+  c.transition_cache = false;
   return c;
 }
 
-/// Loads `image` into a fresh system of `tier` and runs it to the budget.
+/// Loads `image` into a fresh system built from `config` and runs it to
+/// the budget.
 struct TierRun {
   soc::RunResult result;
   cpu::Addr pc;
   std::uint8_t acc;
   std::array<std::uint8_t, cpu::kMemWords> memory;
-  soc::TierCounters tiers;
 };
 
-TierRun run_on_tier(ExecTier tier, const cpu::MemoryImage& image,
-                    cpu::Addr entry, std::uint64_t budget) {
-  soc::System sys{tier_config(tier)};
+TierRun run_with(const soc::SystemConfig& config, const cpu::MemoryImage& image,
+                 cpu::Addr entry, std::uint64_t budget) {
+  soc::System sys{config};
   sys.load_and_reset(image, entry);
   const soc::RunResult r = sys.run(budget);
-  return {r, sys.processor().pc(), sys.processor().acc(), sys.memory().raw(),
-          sys.tier_counters()};
+  return {r, sys.processor().pc(), sys.processor().acc(), sys.memory().raw()};
 }
 
 void expect_same_run(const TierRun& a, const TierRun& b,
@@ -71,73 +61,22 @@ void expect_same_run(const TierRun& a, const TierRun& b,
 }
 
 TEST(ExecTier, NamesRoundTripAndUnknownSpellingsAreRejected) {
-  for (const ExecTier t :
-       {ExecTier::kReference, ExecTier::kDecoded, ExecTier::kJit}) {
-    const auto parsed = cpu::parse_exec_tier(cpu::to_string(t));
-    ASSERT_TRUE(parsed.has_value()) << cpu::to_string(t);
-    EXPECT_EQ(*parsed, t);
+  EXPECT_EQ(cpu::to_string(ExecTier::kReference), "reference");
+  for (const char* name : {"reference", "decoded", "jit"}) {
+    const auto parsed = cpu::parse_exec_tier(name);
+    ASSERT_TRUE(parsed.has_value()) << name;
+    EXPECT_EQ(*parsed, ExecTier::kReference) << name;
   }
   EXPECT_FALSE(cpu::parse_exec_tier("interpreted").has_value());
   EXPECT_FALSE(cpu::parse_exec_tier("Decoded").has_value());
   EXPECT_FALSE(cpu::parse_exec_tier("").has_value());
 }
 
-TEST(MicroProgram, DecodeTableAndPreDecodeMatchPureDecode) {
-  // decode() is a pure function of the byte; the memo table and every
-  // pre-decoded micro-op must agree with it exactly.
-  const auto& table = cpu::MicroProgram::decode_table();
-  for (unsigned b = 0; b < 256; ++b) {
-    const cpu::Decoded ref = cpu::decode(static_cast<std::uint8_t>(b));
-    EXPECT_EQ(table[b].kind, ref.kind) << b;
-    EXPECT_EQ(table[b].opcode, ref.opcode) << b;
-    EXPECT_EQ(table[b].page, ref.page) << b;
-    EXPECT_EQ(table[b].cond_mask, ref.cond_mask) << b;
-    EXPECT_EQ(table[b].single, ref.single) << b;
-  }
-
-  std::mt19937_64 rng(2001);
-  cpu::MemoryImage image;
-  std::uniform_int_distribution<unsigned> byte(0, 255);
-  for (unsigned a = 0; a < cpu::kMemWords; ++a)
-    image.set(static_cast<cpu::Addr>(a), static_cast<std::uint8_t>(byte(rng)));
-  const cpu::MicroProgram prog(image);
-  EXPECT_TRUE(prog.matches(image));
-  for (unsigned a = 0; a < cpu::kMemWords; ++a) {
-    const auto addr = static_cast<cpu::Addr>(a);
-    EXPECT_EQ(prog.at(addr).byte, image.at(addr)) << a;
-    EXPECT_EQ(prog.at(addr).d.kind, cpu::decode(image.at(addr)).kind) << a;
-  }
-  cpu::MemoryImage other = image;
-  other.set(0x123, static_cast<std::uint8_t>(image.at(0x123) ^ 0xFF));
-  EXPECT_FALSE(prog.matches(other));
-}
-
-TEST(DecodeCache, SharesPreDecodesByImageContent) {
-  auto& cache = cpu::DecodeCache::global();
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  cpu::MemoryImage image;
-  image.set(0x020, cpu::encode_single(cpu::SingleOp::kHlt));
-
-  bool built = false;
-  const auto first = cache.obtain(image, &built);
-  EXPECT_TRUE(built);
-  EXPECT_EQ(cache.size(), 1u);
-  const auto second = cache.obtain(image, &built);
-  EXPECT_FALSE(built);              // content-identical image: reused
-  EXPECT_EQ(first.get(), second.get());
-
-  image.set(0x021, cpu::encode_single(cpu::SingleOp::kNop));
-  const auto third = cache.obtain(image, &built);
-  EXPECT_TRUE(built);               // any byte change is a new program
-  EXPECT_NE(first.get(), third.get());
-  cache.clear();
-}
-
 TEST(ExecTier, RandomImagesRunIdenticallyAcrossAllTiers) {
   // Arbitrary byte soup exercises every decode path -- including illegal
-  // opcodes, wild jumps and accidental self-stores -- and all three tiers
-  // must agree on the full architectural outcome.
+  // opcodes, wild jumps and accidental self-stores.  Every accepted tier
+  // spelling on the default configuration must agree with the seed path
+  // on the full architectural outcome.
   std::mt19937_64 rng(20010618);
   std::uniform_int_distribution<unsigned> byte(0, 255);
   std::uniform_int_distribution<unsigned> addr(0, cpu::kMemWords - 1);
@@ -147,368 +86,95 @@ TEST(ExecTier, RandomImagesRunIdenticallyAcrossAllTiers) {
       image.set(static_cast<cpu::Addr>(a),
                 static_cast<std::uint8_t>(byte(rng)));
     const auto entry = static_cast<cpu::Addr>(addr(rng));
-    const TierRun reference =
-        run_on_tier(ExecTier::kReference, image, entry, 4000);
-    const TierRun decoded = run_on_tier(ExecTier::kDecoded, image, entry, 4000);
-    const TierRun jit = run_on_tier(ExecTier::kJit, image, entry, 4000);
-    expect_same_run(decoded, reference, "decoded trial " +
-                                            std::to_string(trial));
-    expect_same_run(jit, reference, "jit trial " + std::to_string(trial));
+    const TierRun reference = run_with(seed_config(), image, entry, 4000);
+    for (const char* name : {"reference", "decoded", "jit"}) {
+      soc::SystemConfig config;
+      config.exec_tier = *cpu::parse_exec_tier(name);
+      expect_same_run(run_with(config, image, entry, 4000), reference,
+                      std::string(name) + " trial " + std::to_string(trial));
+    }
   }
 }
 
 TEST(ExecTier, GeneratedProgramSignaturesMatchReference) {
   // The paper's own SBST program: every response cell (group signatures
-  // plus data-bus write targets) must read back identically on every tier,
-  // and an available JIT backend must actually have compiled blocks.
+  // plus data-bus write targets) must read back identically on the
+  // default configuration and on the seed path.
   const auto gen = sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
   const sbst::TestProgram& prog = gen.program;
   const TierRun reference =
-      run_on_tier(ExecTier::kReference, prog.image, prog.entry, 1'000'000);
-  const TierRun decoded =
-      run_on_tier(ExecTier::kDecoded, prog.image, prog.entry, 1'000'000);
-  const TierRun jit =
-      run_on_tier(ExecTier::kJit, prog.image, prog.entry, 1'000'000);
+      run_with(seed_config(), prog.image, prog.entry, 1'000'000);
+  const TierRun fast =
+      run_with(soc::SystemConfig{}, prog.image, prog.entry, 1'000'000);
   ASSERT_TRUE(reference.result.halted);
-  expect_same_run(decoded, reference, "decoded");
-  expect_same_run(jit, reference, "jit");
-  for (const cpu::Addr cell : prog.response_cells) {
-    EXPECT_EQ(decoded.memory[cell], reference.memory[cell]) << cell;
-    EXPECT_EQ(jit.memory[cell], reference.memory[cell]) << cell;
-  }
-  EXPECT_GT(decoded.tiers.decoded_programs + decoded.tiers.decode_cache_hits,
-            0u);
-  EXPECT_EQ(reference.tiers.decoded_programs, 0u);
-  EXPECT_EQ(reference.tiers.jit_bailouts, 0u);
-  if (cpu::jit_backend_available()) {
-    EXPECT_GT(jit.tiers.jit_blocks, 0u);
-  }
+  expect_same_run(fast, reference, "default config");
+  for (const cpu::Addr cell : prog.response_cells)
+    EXPECT_EQ(fast.memory[cell], reference.memory[cell]) << cell;
 }
 
 TEST(ExecTier, CampaignVerdictsMatchReferenceOnEveryBuiltinScenario) {
   // The acceptance property: for each built-in scenario (shrunk to a
-  // test-sized library), decoded campaign verdicts are bitwise equal to
-  // the reference tier at 1 and 4 threads.
-  sim::DefectRunCache::global().clear();
+  // test-sized library), campaign verdicts on the scenario's own
+  // configuration (fast receive + transition cache) are bitwise equal to
+  // the seed evaluation path at 1 and 4 threads.
   for (const std::string& name : spec::builtin_scenario_names()) {
     spec::ScenarioSpec scn = spec::builtin_scenario(name);
     scn.defect_count = 4;
     const auto sessions = scn.make_sessions();
     const auto lib = scn.make_library();
-    soc::SystemConfig ref_cfg = scn.system;
-    ref_cfg.exec_tier = ExecTier::kReference;
-    ref_cfg.fast_receive = false;
-    ref_cfg.transition_cache = false;
-    soc::SystemConfig dec_cfg = scn.system;
-    dec_cfg.exec_tier = ExecTier::kDecoded;
+    soc::SystemConfig seed_cfg = scn.system;
+    seed_cfg.fast_receive = false;
+    seed_cfg.transition_cache = false;
     for (const unsigned threads : {1u, 4u}) {
       const util::ParallelConfig par{threads};
-      const auto reference = sim::run_detection_sessions(
-          ref_cfg, sessions, scn.bus, lib, scn.cycle_factor, par);
-      const auto decoded = sim::run_detection_sessions(
-          dec_cfg, sessions, scn.bus, lib, scn.cycle_factor, par);
-      EXPECT_EQ(decoded, reference) << name << " threads=" << threads;
+      const auto seed = sim::run_detection_sessions(
+          seed_cfg, sessions, scn.bus, lib, scn.cycle_factor, par);
+      const auto fast = sim::run_detection_sessions(
+          scn.system, sessions, scn.bus, lib, scn.cycle_factor, par);
+      EXPECT_EQ(fast, seed) << name << " threads=" << threads;
     }
   }
 }
 
-TEST(ExecTier, SelfModifyingStoreBailsOutToReference) {
-  // The program rewrites a not-yet-executed NOP into HLT.  The decoded
-  // tier's fetched-byte check sees the divergence, finishes the run on
-  // the reference interpreter, and still matches it exactly.
-  cpu::MemoryImage image;
-  const auto lda = cpu::encode_memref(cpu::Opcode::kLda, 0x0A0);
-  const auto sta = cpu::encode_memref(cpu::Opcode::kSta, 0x026);
-  image.set(0x020, lda[0]);
-  image.set(0x021, lda[1]);
-  image.set(0x022, sta[0]);
-  image.set(0x023, sta[1]);
-  image.set(0x024, cpu::encode_single(cpu::SingleOp::kNop));
-  image.set(0x025, cpu::encode_single(cpu::SingleOp::kNop));
-  image.set(0x026, cpu::encode_single(cpu::SingleOp::kNop));  // becomes HLT
-  image.set(0x027, cpu::encode_single(cpu::SingleOp::kHlt));
-  image.set(0x0A0, cpu::encode_single(cpu::SingleOp::kHlt));  // stored byte
-
-  const TierRun reference =
-      run_on_tier(ExecTier::kReference, image, 0x020, 1000);
-  ASSERT_TRUE(reference.result.halted);
-  ASSERT_EQ(reference.pc, 0x027);  // halted at the rewritten cell
-  for (const ExecTier tier : {ExecTier::kDecoded, ExecTier::kJit}) {
-    const TierRun accel = run_on_tier(tier, image, 0x020, 1000);
-    expect_same_run(accel, reference, cpu::to_string(tier));
-    EXPECT_GE(accel.tiers.jit_bailouts, 1u) << cpu::to_string(tier);
-  }
-}
-
-TEST(ExecTier, WatchdogSliceResumesStayDecoded) {
-  // A mid-program resume (cycles already on the clock) is decoded-tier
-  // eligible: the per-fetch byte check already bails on any divergence
-  // between the pre-decode and memory, so budget-sliced resumes need no
-  // blanket reference fallback.  Slicing the same program identically on
-  // both tiers must agree at every step, and the clean resumes must not
-  // count a single bailout.
-  cpu::MemoryImage image;
-  for (cpu::Addr a = 0x020; a < 0x0A0; ++a)
-    image.set(a, cpu::encode_single(cpu::SingleOp::kInc));
-  image.set(0x0A0, cpu::encode_single(cpu::SingleOp::kHlt));
-
-  soc::System dec{tier_config(ExecTier::kDecoded)};
-  soc::System ref{tier_config(ExecTier::kReference)};
-  dec.load_and_reset(image, 0x020);
-  ref.load_and_reset(image, 0x020);
-  bool halted = false;
-  for (std::uint64_t budget = 30; !halted; budget += 30) {
-    const soc::RunResult d = dec.run(budget);
-    const soc::RunResult r = ref.run(budget);
-    ASSERT_EQ(d.cycles, r.cycles) << budget;
-    ASSERT_EQ(d.halted, r.halted) << budget;
-    ASSERT_EQ(dec.processor().acc(), ref.processor().acc()) << budget;
-    halted = r.halted;
-  }
-  EXPECT_EQ(dec.tier_counters().jit_bailouts, 0u);
-  EXPECT_GE(dec.tier_counters().decoded_programs, 1u);
-  EXPECT_EQ(dec.processor().pc(), ref.processor().pc());
-}
-
-TEST(ExecTier, InjectedDecodeFaultDegradesToReference) {
-  // Chaos site "cpu.decode": a failed pre-decode must degrade the system
-  // to the reference interpreter for that run, never error the defect.
-  struct Disarm {
-    ~Disarm() { util::FaultInjector::global().disarm(); }
-  } disarm_on_exit;
-  cpu::MemoryImage image;
-  image.set(0x020, cpu::encode_single(cpu::SingleOp::kInc));
-  image.set(0x021, cpu::encode_single(cpu::SingleOp::kHlt));
-  const TierRun reference =
-      run_on_tier(ExecTier::kReference, image, 0x020, 1000);
-
-  util::FaultInjector::global().configure("cpu.decode@1");
-  soc::System sys{tier_config(ExecTier::kDecoded)};
-  sys.load_and_reset(image, 0x020);  // pre-decode fails here
-  const soc::RunResult r = sys.run(1000);
-  EXPECT_EQ(r.cycles, reference.result.cycles);
-  EXPECT_EQ(r.halted, reference.result.halted);
-  EXPECT_EQ(sys.processor().acc(), reference.acc);
-  EXPECT_GE(sys.tier_counters().jit_bailouts, 1u);
-
-  // The very next load succeeds (the site fired once) and runs decoded.
-  util::FaultInjector::global().disarm();
-  sys.load_and_reset(image, 0x020);
-  const soc::RunResult again = sys.run(1000);
-  EXPECT_EQ(again.cycles, reference.result.cycles);
-  EXPECT_GT(sys.tier_counters().decoded_programs +
-                sys.tier_counters().decode_cache_hits,
-            0u);
-}
-
-TEST(ExecTier, InjectedJitMapFaultDegradesToDecoded) {
-  if (!cpu::JitBuffer::platform_supported())
-    GTEST_SKIP() << "no mmap backend compiled in";
-  struct Disarm {
-    ~Disarm() { util::FaultInjector::global().disarm(); }
-  } disarm_on_exit;
-  cpu::MemoryImage image;
-  image.set(0x020, cpu::encode_single(cpu::SingleOp::kInc));
-  image.set(0x021, cpu::encode_single(cpu::SingleOp::kHlt));
-  const TierRun reference =
-      run_on_tier(ExecTier::kReference, image, 0x020, 1000);
-
-  util::FaultInjector::global().configure("cpu.jit_map@1");
-  const TierRun jit = run_on_tier(ExecTier::kJit, image, 0x020, 1000);
-  expect_same_run(jit, reference, "jit with injected map fault");
-  EXPECT_GE(jit.tiers.jit_bailouts, 1u);
-  EXPECT_EQ(jit.tiers.jit_blocks, 0u);  // sticky degrade: nothing compiled
-}
-
-TEST(JitBuffer, LifecycleHonorsWxAndCapacity) {
-  if (!cpu::JitBuffer::platform_supported())
-    GTEST_SKIP() << "no mmap backend compiled in";
-  cpu::JitBuffer b;
-  EXPECT_FALSE(b.mapped());
-  EXPECT_FALSE(b.emit8(0x90));  // unmapped: nothing to write into
-  ASSERT_EQ(b.map(64), cpu::JitError::kOk);
-  EXPECT_TRUE(b.mapped());
-  EXPECT_GE(b.capacity(), 64u);  // rounded up to the page size
-  EXPECT_FALSE(b.executable());
-
-  EXPECT_TRUE(b.emit8(0xC3));
-  cpu::JitBuffer::Label site;
-  EXPECT_TRUE(b.emit_rel32_placeholder(&site));
-  b.patch_rel32(site, 0);
-  EXPECT_EQ(b.used(), 5u);
-
-  ASSERT_EQ(b.make_executable(), cpu::JitError::kOk);
-  EXPECT_TRUE(b.executable());
-  EXPECT_FALSE(b.emit8(0x90));  // W^X: executable is never writable
-  EXPECT_EQ(b.used(), 5u);
-  ASSERT_EQ(b.make_writable(), cpu::JitError::kOk);
-  EXPECT_FALSE(b.executable());
-
-  b.truncate(1);
-  EXPECT_EQ(b.used(), 1u);
-  while (b.emit8(0x90)) {
-  }
-  EXPECT_EQ(b.used(), b.capacity());  // kBufferFull: no partial writes
-  EXPECT_FALSE(b.emit32(0));
-  b.unmap();
-  EXPECT_FALSE(b.mapped());
-  EXPECT_EQ(b.used(), 0u);
-}
-
-TEST(JitBuffer, MapConsultsTheJitMapFaultSite) {
-  if (!cpu::JitBuffer::platform_supported())
-    GTEST_SKIP() << "no mmap backend compiled in";
-  struct Disarm {
-    ~Disarm() { util::FaultInjector::global().disarm(); }
-  } disarm_on_exit;
-  util::FaultInjector::global().configure("cpu.jit_map@1");
-  cpu::JitBuffer b;
-  EXPECT_EQ(b.map(4096), cpu::JitError::kInjected);
-  EXPECT_FALSE(b.mapped());
-  util::FaultInjector::global().disarm();
-  EXPECT_EQ(b.map(4096), cpu::JitError::kOk);
-  EXPECT_STREQ(cpu::to_string(cpu::JitError::kInjected), "injected");
-}
-
-TEST(DefectRunCache, MemoizesWholeRunsForAcceleratedTiersOnly) {
-  sim::DefectRunCache::global().clear();
-  sim::GoldRunCache::global().clear();
-  const auto prog =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-  const soc::SystemConfig decoded;  // default tier: decoded
-  const auto lib =
-      sim::make_defect_library(decoded, soc::BusKind::kData, 6, 321);
-
-  util::CampaignStats stats1;
-  sim::CampaignOptions o1;
-  o1.stats = &stats1;
-  o1.batched = false;
-  const auto first =
-      sim::run_detection(decoded, prog.program, soc::BusKind::kData, lib, o1);
-  EXPECT_EQ(stats1.run_reuses, 0u);  // cold memo: everything simulated
-
-  util::CampaignStats stats2;
-  sim::CampaignOptions o2 = o1;
-  o2.stats = &stats2;
-  const auto second =
-      sim::run_detection(decoded, prog.program, soc::BusKind::kData, lib, o2);
-  EXPECT_EQ(stats2.run_reuses, lib.size());  // warm memo: nothing simulated
-  EXPECT_EQ(second, first);
-
-  // The reference tier never consults the memo: it keeps the seed's
-  // simulate-everything behaviour.
-  soc::SystemConfig reference = decoded;
-  reference.exec_tier = ExecTier::kReference;
-  util::CampaignStats stats3;
-  sim::CampaignOptions o3 = o1;
-  o3.stats = &stats3;
-  const auto third = sim::run_detection(reference, prog.program,
-                                        soc::BusKind::kData, lib, o3);
-  EXPECT_EQ(stats3.run_reuses, 0u);
-  EXPECT_EQ(third, first);
-
-  // An armed fault injector also disables the memo (chaos runs must
-  // really re-simulate the runs their fault scripts target).
-  util::FaultInjector::global().configure("never.fires@1000000");
-  util::CampaignStats stats4;
-  sim::CampaignOptions o4 = o1;
-  o4.stats = &stats4;
-  const auto fourth =
-      sim::run_detection(decoded, prog.program, soc::BusKind::kData, lib, o4);
-  util::FaultInjector::global().disarm();
-  EXPECT_EQ(stats4.run_reuses, 0u);
-  EXPECT_EQ(fourth, first);
-  sim::DefectRunCache::global().clear();
-  EXPECT_EQ(sim::DefectRunCache::global().size(), 0u);
-}
-
-TEST(SystemPool, PoolsAcceleratedSystemsAndBypassesReference) {
-  auto& pool = sim::SystemPool::global();
-  pool.clear();
-  const soc::SystemConfig decoded;  // default tier: decoded
-  {
-    auto lease = pool.acquire(decoded);
-    ASSERT_TRUE(lease);
-    EXPECT_EQ(lease->exec_tier(), ExecTier::kDecoded);
-  }
-  EXPECT_EQ(pool.idle_count(), 1u);  // parked on release
-  {
-    auto lease = pool.acquire(decoded);
-    EXPECT_EQ(pool.idle_count(), 0u);  // the parked simulator was revived
-  }
-  EXPECT_EQ(pool.idle_count(), 1u);
-
-  soc::SystemConfig reference = decoded;
-  reference.exec_tier = ExecTier::kReference;
-  {
-    auto lease = pool.acquire(reference);
-    ASSERT_TRUE(lease);
-  }
-  EXPECT_EQ(pool.idle_count(), 1u);  // reference lease was not parked
-
-  util::FaultInjector::global().configure("never.fires@1000000");
-  {
-    auto lease = pool.acquire(decoded);
-    ASSERT_TRUE(lease);
-  }
-  util::FaultInjector::global().disarm();
-  EXPECT_EQ(pool.idle_count(), 1u);  // armed injector bypasses pooling
-
-  pool.clear();
-  EXPECT_EQ(pool.idle_count(), 0u);
-}
-
 TEST(CampaignStats, JsonCarriesTierAndRunMemoCounters) {
+  // The former tier and run-memo counters are always 0 now, but the
+  // fields stay in the stats record for the consumers that read them.
   util::CampaignStats stats;
-  stats.decoded_programs = 2;
   stats.decode_cache_hits = 5;
-  stats.jit_blocks = 3;
   stats.jit_bailouts = 1;
   stats.run_reuses = 7;
   const std::string j = stats.json("tier");
-  EXPECT_NE(j.find("\"decoded_programs\":2"), std::string::npos) << j;
   EXPECT_NE(j.find("\"decode_cache_hits\":5"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"jit_blocks\":3"), std::string::npos) << j;
   EXPECT_NE(j.find("\"jit_bailouts\":1"), std::string::npos) << j;
   EXPECT_NE(j.find("\"run_reuses\":7"), std::string::npos) << j;
 
   util::CampaignStats merged;
   merged.merge_from(stats);
   merged.merge_from(stats);
-  EXPECT_EQ(merged.decoded_programs, 4u);
+  EXPECT_EQ(merged.decode_cache_hits, 10u);
   EXPECT_EQ(merged.jit_bailouts, 2u);
   EXPECT_EQ(merged.run_reuses, 14u);
 }
 
 TEST(ExecTier, CampaignAccountsDecodeTraffic) {
-  const soc::SystemConfig decoded;  // default tier: decoded
+  // There is no pre-decode and no run memo any more: a campaign reports
+  // zero for their counters and simulates every defect.
+  const soc::SystemConfig config;
   const auto prog =
       sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
   const auto lib =
-      sim::make_defect_library(decoded, soc::BusKind::kAddress, 5, 77);
-  sim::DefectRunCache::global().clear();
-  util::CampaignStats stats;
-  sim::CampaignOptions o;
-  o.stats = &stats;
-  o.batched = false;
-  sim::run_detection(decoded, prog.program, soc::BusKind::kAddress, lib, o);
-  // One pre-decode for the campaign's program; every per-defect reload
-  // reuses it through the pinned micro-program or the decode cache.
-  EXPECT_GT(stats.decoded_programs + stats.decode_cache_hits, 0u);
-
-  soc::SystemConfig reference = decoded;
-  reference.exec_tier = ExecTier::kReference;
-  reference.fast_receive = false;
-  reference.transition_cache = false;
-  util::CampaignStats ref_stats;
-  sim::CampaignOptions ro;
-  ro.stats = &ref_stats;
-  ro.batched = false;
-  sim::run_detection(reference, prog.program, soc::BusKind::kAddress, lib, ro);
-  EXPECT_EQ(ref_stats.decoded_programs, 0u);
-  EXPECT_EQ(ref_stats.decode_cache_hits, 0u);
-  EXPECT_EQ(ref_stats.jit_bailouts, 0u);
-  EXPECT_EQ(ref_stats.run_reuses, 0u);
+      sim::make_defect_library(config, soc::BusKind::kAddress, 5, 77);
+  for (int pass = 0; pass < 2; ++pass) {
+    util::CampaignStats stats;
+    sim::CampaignOptions o;
+    o.stats = &stats;
+    o.batched = false;
+    sim::run_detection(config, prog.program, soc::BusKind::kAddress, lib, o);
+    EXPECT_EQ(stats.decode_cache_hits, 0u) << pass;
+    EXPECT_EQ(stats.jit_bailouts, 0u) << pass;
+    EXPECT_EQ(stats.run_reuses, 0u) << pass;
+    EXPECT_EQ(stats.defects_simulated, lib.size()) << pass;
+  }
 }
 
 }  // namespace

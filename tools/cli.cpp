@@ -468,7 +468,7 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 "threads=%u simulations=%zu cycles=%llu wall=%.3fs "
                 "library=%.3fs screen=%.3fs defects/sec=%.0f\n"
                 "cache_hits=%llu cache_misses=%llu cache_hit_rate=%.1f%% "
-                "gold_reuses=%zu run_reuses=%zu\n",
+                "gold_reuses=%zu\n",
                 vc.detected, vc.detected_by_timeout, vc.undetected,
                 vc.sim_errors, stats.retries, stats.restored_from_checkpoint,
                 stats.salvaged_sections, stats.dropped_slots, stats.threads,
@@ -478,8 +478,7 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 stats.screen_seconds, stats.defects_per_second(),
                 static_cast<unsigned long long>(stats.cache_hits),
                 static_cast<unsigned long long>(stats.cache_misses),
-                100.0 * stats.cache_hit_rate(), stats.gold_reuses,
-                stats.run_reuses);
+                100.0 * stats.cache_hit_rate(), stats.gold_reuses);
   out << buf;
   if (s.batched) {
     std::snprintf(buf, sizeof buf,
@@ -491,15 +490,6 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
   } else {
     std::snprintf(buf, sizeof buf, "batch=off\n");
   }
-  out << buf;
-  std::snprintf(buf, sizeof buf,
-                "tier=%s decoded_programs=%llu decode_cache_hits=%llu "
-                "jit_blocks=%llu jit_bailouts=%llu\n",
-                cpu::to_string(s.system.exec_tier).c_str(),
-                static_cast<unsigned long long>(stats.decoded_programs),
-                static_cast<unsigned long long>(stats.decode_cache_hits),
-                static_cast<unsigned long long>(stats.jit_blocks),
-                static_cast<unsigned long long>(stats.jit_bailouts));
   out << buf;
 }
 
