@@ -33,11 +33,19 @@ const xtalk::RcNetwork& nominal_net(const soc::System& system,
 
 void apply_defect(soc::System& system, soc::BusKind bus,
                   const xtalk::Defect& defect) {
-  const xtalk::RcNetwork net = defect.apply(nominal_net(system, bus));
+  // Moved, not copied, into the system: per-defect set-up is on every
+  // simulation's path (DESIGN.md D12).
+  xtalk::RcNetwork net = defect.apply(nominal_net(system, bus));
   switch (bus) {
-    case soc::BusKind::kAddress: system.set_address_network(net); break;
-    case soc::BusKind::kData: system.set_data_network(net); break;
-    case soc::BusKind::kControl: system.set_control_network(net); break;
+    case soc::BusKind::kAddress:
+      system.set_address_network(std::move(net));
+      break;
+    case soc::BusKind::kData:
+      system.set_data_network(std::move(net));
+      break;
+    case soc::BusKind::kControl:
+      system.set_control_network(std::move(net));
+      break;
   }
 }
 

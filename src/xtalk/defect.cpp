@@ -30,20 +30,43 @@ double recommended_cth(const RcNetwork& nominal, double ratio) {
   return ratio * nominal.max_net_coupling();
 }
 
-void perturbed_net_coupling(const RcNetwork& nominal, const double* factors,
-                            double* net) {
-  const unsigned width = nominal.width();
-  for (unsigned i = 0; i < width; ++i) {
-    // RcNetwork::net_coupling's order (j ascending); the zero diagonal adds
-    // nothing, and apply() stores coupling(min, max) * factor on both sides.
-    double sum = 0.0;
-    for (unsigned j = 0; j < width; ++j) {
+CouplingRows::CouplingRows(const RcNetwork& nominal)
+    : width_(nominal.width()) {
+  const std::size_t terms = static_cast<std::size_t>(width_) * (width_ - 1);
+  coupling_.reserve(terms);
+  pair_.reserve(terms);
+  for (unsigned i = 0; i < width_; ++i)
+    for (unsigned j = 0; j < width_; ++j) {
+      // RcNetwork::net_coupling's order (j ascending); the zero diagonal
+      // adds nothing, and apply() stores coupling(min, max) * factor on
+      // both sides.
       if (j == i) continue;
       const unsigned a = std::min(i, j), b = std::max(i, j);
-      sum += nominal.coupling(a, b) * factors[pair_index(width, a, b)];
+      coupling_.push_back(nominal.coupling(a, b));
+      pair_.push_back(static_cast<std::uint32_t>(pair_index(width_, a, b)));
     }
-    net[i] = sum;
-  }
+}
+
+double CouplingRows::net_coupling(unsigned i, const double* factors) const {
+  const std::size_t row = static_cast<std::size_t>(i) * (width_ - 1);
+  const double* c = coupling_.data() + row;
+  const std::uint32_t* p = pair_.data() + row;
+  double sum = 0.0;
+  for (unsigned k = 0; k + 1 < width_; ++k) sum += c[k] * factors[p[k]];
+  return sum;
+}
+
+bool CouplingRows::any_exceeds(const double* factors, double cth_fF) const {
+  for (unsigned i = 0; i < width_; ++i)
+    if (net_coupling(i, factors) > cth_fF) return true;
+  return false;
+}
+
+void perturbed_net_coupling(const RcNetwork& nominal, const double* factors,
+                            double* net) {
+  const CouplingRows rows(nominal);
+  for (unsigned i = 0; i < rows.width(); ++i)
+    net[i] = rows.net_coupling(i, factors);
 }
 
 Defect::Defect(unsigned width, std::vector<double> factors)
@@ -82,20 +105,17 @@ void Defect::check_width(const RcNetwork& nominal, const char* caller) const {
 RcNetwork Defect::apply(const RcNetwork& nominal) const {
   check_width(nominal, "Defect::apply");
   RcNetwork net = nominal;
-  for (unsigned i = 0; i < width_; ++i)
-    for (unsigned j = i + 1; j < width_; ++j)
-      net.scale_coupling(i, j, factor(i, j));
+  net.scale_couplings(factors_.data());
   return net;
 }
 
 std::vector<unsigned> Defect::defective_wires(const RcNetwork& nominal,
                                               double cth_fF) const {
   check_width(nominal, "Defect::defective_wires");
-  std::vector<double> net(width_);
-  perturbed_net_coupling(nominal, factors_.data(), net.data());
+  const CouplingRows rows(nominal);
   std::vector<unsigned> out;
   for (unsigned i = 0; i < width_; ++i)
-    if (net[i] > cth_fF) out.push_back(i);
+    if (rows.net_coupling(i, factors_.data()) > cth_fF) out.push_back(i);
   return out;
 }
 
@@ -125,12 +145,11 @@ class LibraryPipeline {
  public:
   LibraryPipeline(const RcNetwork& nominal, const DefectConfig& config,
                   unsigned workers)
-      : nominal_(nominal),
-        config_(config),
+      : config_(config),
         sigma_(config.sigma_pct / 100.0),
         npairs_(static_cast<std::size_t>(nominal.width()) *
                 (nominal.width() - 1) / 2),
-        net_(nominal.width()),
+        rows_(nominal),
         engine_(config.seed),
         blocks_(std::min(workers, kMaxSlots)) {
     for (Block& b : blocks_) {
@@ -168,7 +187,7 @@ class LibraryPipeline {
         filling_ = true;
         Block& b = slot(filled_);
         lock.unlock();
-        for (std::uint64_t& x : b.raw) x = engine_();
+        engine_.fill(b.raw.data(), b.raw.size());
         lock.lock();
         filling_ = false;
         b.replays_left = kTasksPerBlock;
@@ -257,31 +276,29 @@ class LibraryPipeline {
       ++attempts_;
       const double* f = pending_.data() + pos;
       pos += npairs_;
-      perturbed_net_coupling(nominal_, f, net_.data());
-      double best = 0.0;  // RcNetwork::max_net_coupling's fold
-      for (double v : net_) best = std::max(best, v);
-      if (best > config_.cth_fF)
-        defects_.emplace_back(nominal_.width(),
+      // Some wire above Cth is the same decision as the paper's maximum
+      // net coupling above Cth.
+      if (rows_.any_exceeds(f, config_.cth_fF))
+        defects_.emplace_back(rows_.width(),
                               std::vector<double>(f, f + npairs_));
     }
     pending_.erase(pending_.begin(), pending_.begin() + pos);
     return finished;
   }
 
-  const RcNetwork& nominal_;
   const DefectConfig& config_;
   const double sigma_;
   const std::size_t npairs_;
+  const CouplingRows rows_;
 
   // Owned by the consume step (one at a time, in block order).
   std::vector<double> pending_;  // factors of the next, incomplete candidate
-  std::vector<double> net_;
   std::vector<Defect> defects_;
   std::size_t attempts_ = 0;
   std::exception_ptr error_;
 
   // Owned by the fill step (one at a time, in block order).
-  std::mt19937_64 engine_;
+  util::Mt64 engine_;
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -43,10 +43,35 @@ struct DefectConfig {
 /// what produces the zero-coverage side lines of Fig. 11.
 double recommended_cth(const RcNetwork& nominal, double ratio = 1.6);
 
+/// The terms of every wire's net coupling under a defect, precomputed once
+/// per nominal network: row i holds, for j ascending and j != i, the
+/// nominal coupling(min(i,j), max(i,j)) and the index of pair (i, j) in a
+/// defect's factors (Defect's order).  A row's sum takes the products in
+/// RcNetwork::net_coupling's order, so it is bitwise equal to
+/// Defect(width, factors).apply(nominal).net_coupling(i) without building
+/// the network.  This is the one summation behind the Cth test.
+class CouplingRows {
+ public:
+  explicit CouplingRows(const RcNetwork& nominal);
+
+  unsigned width() const { return width_; }
+
+  /// Net coupling of wire i under a defect's `factors`.
+  double net_coupling(unsigned i, const double* factors) const;
+
+  /// Whether some wire's net coupling under `factors` exceeds `cth_fF`;
+  /// stops at the first wire that does.
+  bool any_exceeds(const double* factors, double cth_fF) const;
+
+ private:
+  unsigned width_;
+  std::vector<double> coupling_;    // width rows of width-1 terms
+  std::vector<std::uint32_t> pair_;  // the factor index of each term
+};
+
 /// Net coupling of every wire of `nominal` under a defect's `factors` (one
-/// per wire pair, in Defect's order), written to net[0..width).  Bitwise
-/// equal to Defect(width, factors).apply(nominal).net_coupling(i), without
-/// building the network.
+/// per wire pair, in Defect's order), written to net[0..width): the
+/// CouplingRows sums.
 void perturbed_net_coupling(const RcNetwork& nominal, const double* factors,
                             double* net);
 

@@ -28,18 +28,21 @@ BusEvaluator::BusEvaluator(const RcNetwork& net, const ErrorModelConfig& config)
   // the per-transition sums can accumulate -- provably never deviates,
   // on any transition, and receive() need not evaluate it at all.
   constexpr double kFpMargin = 1.0 + 1e-9;
+  active_.reserve(width_);
   for (unsigned i = 0; i < width_; ++i) {
     double sum_abs = 0.0;    // worst |injected charge| on a stable wire
     double sum_pos2 = 0.0;   // worst Miller load on a switching wire
+    double net_sum = 0.0;    // RcNetwork::net_coupling(i), term by term
     for (unsigned j = 0; j < width_; ++j) {
       const double c = net.coupling(i, j);
       rows_[static_cast<std::size_t>(i) * width_ + j] = c;
       sum_abs += c < 0.0 ? -c : c;
       if (c > 0.0) sum_pos2 += 2.0 * c;
+      net_sum += c;
     }
     // Exactly the reference's `total`: ground_cap(i) + net_coupling(i),
     // with net_coupling summing all couplings in ascending wire order.
-    glitch_denom_[i] = net.ground_cap(i) + net.net_coupling(i);
+    glitch_denom_[i] = net.ground_cap(i) + net_sum;
     ground_[i] = net.ground_cap(i);
 
     const double dv_max = vdd_v_ * sum_abs / glitch_denom_[i];

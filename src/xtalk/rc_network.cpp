@@ -44,6 +44,16 @@ void RcNetwork::scale_coupling(unsigned i, unsigned j, double factor) {
   set_coupling(i, j, coupling(i, j) * factor);
 }
 
+void RcNetwork::scale_couplings(const double* factors) {
+  for (unsigned i = 0; i < width_; ++i)
+    for (unsigned j = i + 1; j < width_; ++j) {
+      const double fF = coupling_[index(i, j)] * *factors++;
+      coupling_[index(i, j)] = fF;
+      coupling_[index(j, i)] = fF;
+    }
+  revision_ = next_revision();
+}
+
 void RcNetwork::add_ground_load(unsigned i, double fF) {
   assert(i < width_);
   ground_[i] += fF;

@@ -49,6 +49,11 @@ class RcNetwork {
   /// Multiply the coupling between i and j by `factor` (defect injection).
   void scale_coupling(unsigned i, unsigned j, double factor);
 
+  /// Multiply every coupling by its pair's factor, the pairs (i < j) taken
+  /// row-major in the upper triangle (a Defect's order): the same products
+  /// as scale_coupling on each pair, with one revision bump for them all.
+  void scale_couplings(const double* factors);
+
   /// Adds quiet capacitive load to wire i -- models coupling to wires of
   /// *another* bus routed alongside (the paper's "crosstalk between two
   /// busses" remark): a quiet neighbour never injects charge but always

@@ -1,5 +1,7 @@
 #include "xtalk/defect.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <ostream>
@@ -76,6 +78,48 @@ TEST(Defect, NetCouplingHelperMatchesTheAppliedNetworkBitwise) {
       const double want = applied.net_coupling(i);
       EXPECT_EQ(std::memcmp(&net[i], &want, sizeof want), 0)
           << "trial " << trial << " wire " << i;
+    }
+  }
+}
+
+// The library's Cth test (CouplingRows) against the network a defect
+// really builds, on the paper system's three buses: per-wire sums bitwise
+// equal, and the accept/reject decision exact at its edge -- Cth equal to
+// the candidate's largest net coupling rejects it, one ULP below accepts.
+TEST(CouplingRows, CthTestMatchesTheAppliedNetworkBitwiseOnEveryBus) {
+  const soc::System system;
+  std::mt19937_64 rng(20010618);
+  std::normal_distribution<double> variation(0.0, 0.5);
+  for (const RcNetwork* nom :
+       {&system.nominal_address_network(), &system.nominal_data_network(),
+        &system.nominal_control_network()}) {
+    const unsigned w = nom->width();
+    const CouplingRows rows(*nom);
+    ASSERT_EQ(rows.width(), w);
+    for (int trial = 0; trial < 300; ++trial) {
+      std::vector<double> factors(static_cast<std::size_t>(w) * (w - 1) / 2);
+      for (double& f : factors) f = std::max(0.0, 1.0 + variation(rng));
+      const Defect defect(w, factors);
+      const RcNetwork applied = defect.apply(*nom);
+      double best = 0.0;
+      std::vector<unsigned> at_best;
+      for (unsigned i = 0; i < w; ++i) {
+        const double want = applied.net_coupling(i);
+        const double got = rows.net_coupling(i, factors.data());
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof want), 0)
+            << "width " << w << " trial " << trial << " wire " << i;
+        if (want > best) at_best.clear();
+        if (want >= best) at_best.push_back(i);
+        best = std::max(best, want);
+      }
+      ASSERT_GT(best, 0.0);
+      const double below = std::nextafter(best, 0.0);
+      EXPECT_FALSE(rows.any_exceeds(factors.data(), best))
+          << "width " << w << " trial " << trial;
+      EXPECT_TRUE(rows.any_exceeds(factors.data(), below))
+          << "width " << w << " trial " << trial;
+      EXPECT_TRUE(defect.defective_wires(*nom, best).empty());
+      EXPECT_EQ(defect.defective_wires(*nom, below), at_best);
     }
   }
 }

@@ -1,5 +1,8 @@
 #include "xtalk/rc_network.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace xtest::xtalk {
@@ -67,6 +70,27 @@ TEST(RcNetwork, ScaleCouplingAffectsBothWires) {
   // Other wires only see their own couplings to 3/4 unchanged.
   EXPECT_DOUBLE_EQ(net.net_coupling(0),
                    RcNetwork(geo(8)).net_coupling(0));
+}
+
+TEST(RcNetwork, ScaleCouplingsEqualsScalingEachPairWithOneRevisionBump) {
+  // The bulk form Defect::apply uses: bitwise the per-pair products, and a
+  // fresh revision so no derived-data cache mistakes it for the nominal.
+  const RcNetwork nominal(geo(12));
+  std::vector<double> factors;
+  RcNetwork per_pair = nominal;
+  for (unsigned i = 0; i < 12; ++i)
+    for (unsigned j = i + 1; j < 12; ++j) {
+      factors.push_back(0.25 + 0.037 * static_cast<double>(factors.size()));
+      per_pair.scale_coupling(i, j, factors.back());
+    }
+  RcNetwork bulk = nominal;
+  bulk.scale_couplings(factors.data());
+  EXPECT_NE(bulk.revision(), nominal.revision());
+  for (unsigned i = 0; i < 12; ++i)
+    for (unsigned j = 0; j < 12; ++j) {
+      const double a = bulk.coupling(i, j), b = per_pair.coupling(i, j);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << i << "," << j;
+    }
 }
 
 TEST(RcNetwork, SetCoupling) {

@@ -1,14 +1,60 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace xtest::util {
 namespace {
+
+// Mt64 against the standard engine it reproduces, over 100M outputs at
+// five seeds.  Block fills of every size class around the 312-word state
+// (empty, one, half, just under / at / just over a whole state, and a
+// library block) alternate with single draws; 13 single draws per cycle
+// shift each cycle by 173 words, coprime to 312, so every fill size
+// starts at every offset into the state.
+TEST(Mt64, MatchesStdMt19937_64AcrossFillSizesAndStateOffsets) {
+  constexpr std::size_t kState = 312;
+  const std::size_t sizes[] = {0, 1, 155, 156, 311, 312, 313, 16384};
+  constexpr std::size_t kPerSeed = 20'000'000;
+  std::vector<std::uint64_t> block(16384);
+  std::size_t total = 0;
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{20010618},
+        std::uint64_t{900913}, ~std::uint64_t{0}}) {
+    std::mt19937_64 oracle(seed);
+    Mt64 mt(seed);
+    std::vector<std::vector<bool>> started(std::size(sizes),
+                                           std::vector<bool>(kState));
+    std::size_t drawn = 0, mismatches = 0;
+    while (drawn < kPerSeed) {
+      for (std::size_t s = 0; s < std::size(sizes); ++s) {
+        started[s][drawn % kState] = true;
+        mt.fill(block.data(), sizes[s]);
+        for (std::size_t k = 0; k < sizes[s]; ++k)
+          mismatches += block[k] != oracle();
+        mismatches += mt() != oracle();
+        drawn += sizes[s] + 1;
+      }
+      for (int k = 0; k < 5; ++k) mismatches += mt() != oracle();
+      drawn += 5;
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+    for (std::size_t s = 0; s < std::size(sizes); ++s)
+      EXPECT_EQ(std::count(started[s].begin(), started[s].end(), true),
+                static_cast<std::ptrdiff_t>(kState))
+          << "seed " << seed << " fill size " << sizes[s];
+    total += drawn;
+  }
+  EXPECT_GE(total, 100'000'000u);
+}
 
 TEST(Rng, DeterministicBySeed) {
   Rng a(42), b(42);
@@ -60,9 +106,9 @@ TEST(Rng, BelowInRange) {
 // variates, and each pair decides its own accept/reject and variate.
 
 std::vector<std::uint64_t> raw_stream(std::uint64_t seed, std::size_t n) {
-  std::mt19937_64 engine(seed);
+  Mt64 engine(seed);
   std::vector<std::uint64_t> raw(n);
-  for (std::uint64_t& x : raw) x = engine();
+  engine.fill(raw.data(), raw.size());
   return raw;
 }
 
