@@ -6,7 +6,7 @@
 //     resulting speedup (the acceptance gate is >= 2x on this microbench);
 //   * single-call receive latency, fast BusEvaluator vs the reference
 //     CrosstalkErrorModel;
-//   * the batch-screen and on-line campaign points.  Thread scaling is
+//   * the off-line and on-line campaign points.  Thread scaling is
 //     measured on whole cold `xtest campaign` processes instead (the CI
 //     perf job), not on in-process points of a few milliseconds.
 //
@@ -112,23 +112,11 @@ double receive_ns_reference(const xtalk::RcNetwork& net,
   return t.per_call_ns();
 }
 
-struct BatchPoint {
-  double defects_per_second = 0.0;
-  std::size_t batch_screened = 0;
-  double batch_fill = 0.0;
-};
-
-/// One serial multi-session campaign with the transition-major screen on
-/// or off, on the slow-tester electricals (clock period scaled 3x):
-/// marginal delay defects diverge in at most one session there, so most
-/// (defect, session) slots screen clean -- the workload the batched path
-/// exists for.  Verdicts are bitwise identical either way; the two points
-/// measure pure speed.
-BatchPoint batch_point(bool batched) {
-  // A cold gold memo, so the two points stay comparable.
+/// One serial multi-session campaign on the slow-tester electricals (clock
+/// period scaled 3x), 96 defects through every session.
+double campaign_point() {
   sim::GoldRunCache::global().clear();
   spec::ScenarioSpec s = spec::builtin_scenario("slow-tester");
-  s.batched = batched;
   s.defect_count = 96;
   const auto sessions = s.make_sessions();
   const auto lib = s.make_library();
@@ -136,8 +124,7 @@ BatchPoint batch_point(bool batched) {
   sim::CampaignOptions opts = s.campaign_options(&stats);
   opts.parallel.threads = 1;
   sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts);
-  return {stats.defects_per_second(), stats.batch_screened,
-          stats.batch_fill()};
+  return stats.defects_per_second();
 }
 
 struct OnlinePoint {
@@ -214,20 +201,10 @@ void print_perf_baseline() {
               "  speedup        : %.2fx\n",
               ns_fast, ns_ref, recv_speedup);
 
-  const BatchPoint unbatched = batch_point(false);
-  const BatchPoint batched = batch_point(true);
-  const double batch_speedup =
-      unbatched.defects_per_second > 0.0
-          ? batched.defects_per_second / unbatched.defects_per_second
-          : 0.0;
-  std::printf("\ncampaign, transition-major batch screen (96 slow-tester "
-              "defects, all sessions, serial):\n"
-              "  batch off: %8.0f defects/sec\n"
-              "  batch on : %8.0f defects/sec (%zu screened, fill %.1f%%)\n"
-              "  speedup  : %.2fx\n",
-              unbatched.defects_per_second, batched.defects_per_second,
-              batched.batch_screened, 100.0 * batched.batch_fill,
-              batch_speedup);
+  const double campaign = campaign_point();
+  std::printf("\ncampaign (96 slow-tester defects, all sessions, serial):\n"
+              "  %8.0f defects/sec\n",
+              campaign);
 
   const OnlinePoint online = online_point();
   std::printf("\non-line campaign (32 defects, online-baseline schedule, "
@@ -253,10 +230,6 @@ void print_perf_baseline() {
       "\"receive_ns_reference\":%.2f,"
       "\"receive_speedup\":%.3f,"
       "\"campaign_defects_per_sec\":%.1f,"
-      "\"campaign_defects_per_sec_batched\":%.1f,"
-      "\"batch_speedup\":%.3f,"
-      "\"batch_screened\":%zu,"
-      "\"batch_fill\":%.4f,"
       "\"online_defects_per_sec\":%.1f,"
       "\"online_rounds\":%llu,"
       "\"online_detection_latency_cycles\":%llu,"
@@ -267,9 +240,7 @@ void print_perf_baseline() {
       "\"cpus_detected\":%u,"
       "\"build_type\":\"%s\"}",
       xfer_on, xfer_off, xfer_speedup, ns_fast, ns_ref, recv_speedup,
-      unbatched.defects_per_second, batched.defects_per_second, batch_speedup,
-      batched.batch_screened, batched.batch_fill,
-      online.defects_per_second,
+      campaign, online.defects_per_second,
       static_cast<unsigned long long>(online.rounds),
       static_cast<unsigned long long>(online.latency_cycles),
       online.latency_samples,

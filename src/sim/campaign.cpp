@@ -1,21 +1,16 @@
 #include "sim/campaign.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "sim/campaign_driver.h"
 #include "sim/gold_cache.h"
 #include "util/fault_injector.h"
-#include "xtalk/batch.h"
 
 namespace xtest::sim {
 
@@ -29,24 +24,6 @@ const xtalk::RcNetwork& nominal_net(const soc::System& system,
     case soc::BusKind::kControl: return system.nominal_control_network();
   }
   return system.nominal_address_network();
-}
-
-void apply_defect(soc::System& system, soc::BusKind bus,
-                  const xtalk::Defect& defect) {
-  // Moved, not copied, into the system: per-defect set-up is on every
-  // simulation's path (DESIGN.md D12).
-  xtalk::RcNetwork net = defect.apply(nominal_net(system, bus));
-  switch (bus) {
-    case soc::BusKind::kAddress:
-      system.set_address_network(std::move(net));
-      break;
-    case soc::BusKind::kData:
-      system.set_data_network(std::move(net));
-      break;
-    case soc::BusKind::kControl:
-      system.set_control_network(std::move(net));
-      break;
-  }
 }
 
 Verdict verdict_of(Verdict v) { return v; }
@@ -79,8 +56,8 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
 
   std::vector<Record> records(n);
   std::vector<std::uint64_t> run_cycles(n, 0);
-  // Slots still to simulate: owned by this shard, not restored from a
-  // previous (interrupted) run, and not completed by the gold step.
+  // Slots still to simulate: owned by this shard and not restored from a
+  // previous (interrupted) run.
   std::vector<std::uint8_t> pending(n, 0);
   for (std::size_t i = 0; i < n; ++i) pending[i] = shard.owns(i);
   std::size_t restored_count = 0;
@@ -157,8 +134,7 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
   std::uint64_t gold_cycles = 0;
   {
     soc::System gold_system(config);
-    GoldStep<Record> step{gold_system, stats, pending, cancelled, complete};
-    gold_cycles = mode.gold(step);
+    gold_cycles = mode.gold(gold_system, stats);
     add_counters(gold_system);
   }
 
@@ -182,7 +158,7 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
   // simulator (a transient poisoned-worker state cannot recur there); a
   // second failure is recorded as kSimError and the campaign still
   // completes with every other record intact.  Retries record through
-  // settle(): the chaos sites count screen and fan-out completions only.
+  // settle(): the chaos sites count fan-out completions only.
   Record failed{};
   if constexpr (std::is_same_v<Record, Verdict>)
     failed = Verdict::kSimError;
@@ -192,8 +168,8 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
   for (const util::ItemError& e : errors) {
     if (cancelled()) break;  // unrecorded items re-run on resume
     // The parallel.item injection site fires for every index of the
-    // range, including slots this call never simulates (restored,
-    // screened, another shard's); they must not leak into its records.
+    // range, including slots this call never simulates (restored or
+    // another shard's); they must not leak into its records.
     if (!pending[e.index]) continue;
     std::string message = e.message;
     Record record = failed;
@@ -280,91 +256,13 @@ namespace {
 
 using detail::nominal_net;
 
-const xtalk::CrosstalkErrorModel& bus_model(const soc::System& system,
-                                            soc::BusKind bus) {
-  switch (bus) {
-    case soc::BusKind::kAddress: return system.address_model();
-    case soc::BusKind::kData: return system.data_model();
-    case soc::BusKind::kControl: return system.control_model();
-  }
-  return system.address_model();
-}
-
-/// The unique (held, driven) transitions one gold run drives on one bus,
-/// with the word the gold receiver sampled -- the input of the
-/// transition-major batched screen.  `held` reconstructs the tristate
-/// bus's kept word: zeros after load_and_reset, then the previously
-/// *driven* word after every transfer (soc::TristateBus semantics).
-struct GoldTransitions {
-  std::vector<std::uint64_t> held;
-  std::vector<std::uint64_t> driven;
-  std::vector<std::uint64_t> expected;
-};
-
-std::shared_ptr<const GoldTransitions> collect_transitions(
-    const soc::BusTrace& trace, soc::BusKind bus) {
-  auto out = std::make_shared<GoldTransitions>();
-  std::unordered_set<std::uint64_t> seen;
-  std::uint64_t held = 0;
-  for (const soc::BusEvent& e : trace.events()) {
-    if (e.bus != bus) continue;
-    const std::uint64_t driven = e.driven.bits();
-    // Exact dedup key: every system bus is at most 12 wires wide
-    // (ScenarioSpec::validate pins the widths to the CPU architecture),
-    // so (held, driven) packs collision-free.
-    const std::uint64_t key = (held << 32) | driven;
-    if (seen.insert(key).second) {
-      out->held.push_back(held);
-      out->driven.push_back(driven);
-      out->expected.push_back(e.received.bits());
-    }
-    held = driven;
-  }
-  return out;
-}
-
-// Process-wide memo of gold transition streams, the batched-path sibling
-// of GoldRunCache: keyed by the gold-run content hash (plus the bus), so
-// entries can never go stale -- the stream is a pure function of the key.
-// Bounded like the snapshot memo; a full table is simply dropped.
-std::uint64_t transitions_key(std::uint64_t gold_key, soc::BusKind bus) {
-  return gold_key ^ ((static_cast<std::uint64_t>(bus) + 1) *
-                     0x9E3779B97F4A7C15ull);
-}
-
-struct TransitionsMemo {
-  std::mutex mu;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const GoldTransitions>>
-      map;
-};
-
-TransitionsMemo& transitions_memo() {
-  static TransitionsMemo* m = new TransitionsMemo;
-  return *m;
-}
-
-std::shared_ptr<const GoldTransitions> transitions_find(std::uint64_t key) {
-  TransitionsMemo& m = transitions_memo();
-  const std::lock_guard<std::mutex> lock(m.mu);
-  const auto it = m.map.find(key);
-  return it == m.map.end() ? nullptr : it->second;
-}
-
-void transitions_store(std::uint64_t key,
-                       std::shared_ptr<const GoldTransitions> value) {
-  TransitionsMemo& m = transitions_memo();
-  const std::lock_guard<std::mutex> lock(m.mu);
-  if (m.map.size() >= 256) m.map.clear();
-  m.map[key] = std::move(value);
-}
-
 /// One whole-program defect simulation: apply, run, classify, restore.
 Verdict simulate_one(soc::System& system, soc::BusKind bus,
                      const xtalk::Defect& defect,
                      const sbst::TestProgram& program,
                      const ResponseSnapshot& gold, std::uint64_t budget,
                      std::uint64_t deadline_ms, std::uint64_t& cycles) {
-  detail::apply_defect(system, bus, defect);
+  system.apply_defect(bus, defect);
   ResponseSnapshot snap;
   try {
     snap = run_and_capture(system, program, budget, deadline_ms);
@@ -375,88 +273,6 @@ Verdict simulate_one(soc::System& system, soc::BusKind bus,
   cycles = snap.cycles;
   system.clear_defects();
   return classify(gold, snap);
-}
-
-/// Transition-major batched pre-screen (the defect-batched fast path).
-/// It runs *before* the worker fan-out: the windows are screened on
-/// `parallel`'s threads, each worker with its own DefectBatch, evaluator
-/// and counters, and the screened defects are then completed serially in
-/// ascending index order.  The screened set is a pure function of the
-/// inputs and the completions (checkpoint records, progress hook, kill
-/// sites) come in the same order at every thread count; the screen is
-/// recomputed identically on any resume (restored slots are simply not
-/// gathered), which makes every checkpoint boundary batch-safe.  A lane
-/// whose received word matches the gold word on every unique gold
-/// transition provably executes the gold run verbatim (only the bus under
-/// test is perturbed; while execution matches gold the faulty run sees
-/// exactly gold's (held, driven) pairs), so it is completed kUndetected
-/// after gold.cycles without being simulated -- exactly the verdict and
-/// cycle count the full simulation would produce.  Diverging lanes may
-/// still be masked, so they fall through to the per-defect simulation.
-void batch_screen(detail::GoldStep<Verdict>& step, soc::BusKind bus,
-                  const xtalk::DefectLibrary& library,
-                  const GoldTransitions& transitions,
-                  std::uint64_t gold_cycles, std::size_t batch_size,
-                  const util::ParallelConfig& parallel) {
-  const auto start = std::chrono::steady_clock::now();
-  const soc::System& probe = step.system;
-  const xtalk::RcNetwork& nominal = nominal_net(probe, bus);
-  const xtalk::ErrorModelConfig model_config = bus_model(probe, bus).config();
-  // Width-mismatched defects (e.g. poisoned CSV reloads) are not gathered;
-  // they hit apply() in the worker and take the ordinary quarantine path.
-  std::vector<std::size_t> candidates;
-  for (std::size_t i = 0; i < library.size(); ++i)
-    if (step.pending[i] && library[i].width() == nominal.width())
-      candidates.push_back(i);
-  const std::size_t windows = (candidates.size() + batch_size - 1) / batch_size;
-  struct Counters {
-    std::uint64_t transitions = 0;
-    std::size_t lanes = 0, capacity = 0;
-  };
-  std::vector<Counters> counters(parallel.resolve(windows));
-  // Lanes of windows a cancelled screen skipped stay dead (never completed).
-  std::vector<std::uint8_t> live(candidates.size(), 0);
-  util::parallel_for_chunks(
-      windows, parallel, [&](std::size_t first, std::size_t last, unsigned w) {
-        Counters& c = counters[w];
-        for (std::size_t k = first; k < last && !step.cancelled(); ++k) {
-          const std::size_t begin = k * batch_size;
-          const std::size_t end =
-              std::min(begin + batch_size, candidates.size());
-          const xtalk::DefectBatch batch(
-              nominal, library,
-              std::vector<std::size_t>(candidates.begin() + begin,
-                                       candidates.begin() + end));
-          xtalk::BatchEvaluator evaluator(batch, model_config);
-          std::uint8_t* lanes = live.data() + begin;
-          std::size_t alive = end - begin;
-          std::fill(lanes, lanes + alive, 1);
-          for (std::size_t t = 0; t < transitions.held.size() && alive > 0;
-               ++t) {
-            ++c.transitions;
-            alive = evaluator.screen(transitions.held[t],
-                                     transitions.driven[t],
-                                     xtalk::BusDirection::kCpuToCore,
-                                     transitions.expected[t], lanes);
-          }
-          c.lanes += end - begin;
-          c.capacity += batch_size;
-        }
-      });
-  for (const Counters& c : counters) {
-    step.stats.batched_transitions += c.transitions;
-    step.stats.batch_lanes += c.lanes;
-    step.stats.batch_capacity += c.capacity;
-  }
-  for (std::size_t k = 0; k < candidates.size(); ++k) {
-    if (!live[k]) continue;
-    if (step.cancelled()) break;
-    ++step.stats.batch_screened;
-    step.complete(candidates[k], Verdict::kUndetected, gold_cycles);
-  }
-  step.stats.screen_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
 }
 
 }  // namespace
@@ -496,7 +312,6 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    const xtalk::DefectLibrary& library,
                                    const CampaignOptions& options) {
   const std::size_t n = library.size();
-  const bool batching = options.batched && options.batch_size >= 1 && n > 0;
   // Gold-run reuse: the snapshot is a pure function of (config, program,
   // budget), so identical gold programs across sessions, per-line sweeps,
   // and checkpoint resumes are answered from the process-wide memo.  An
@@ -509,41 +324,21 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
 
   detail::CampaignMode<Verdict> mode;
   mode.default_key = default_checkpoint_key(bus, library);
-  mode.gold = [&](detail::GoldStep<Verdict>& step) {
-    std::shared_ptr<const GoldTransitions> transitions;
+  mode.gold = [&](soc::System& system, util::CampaignStats& stats) {
     bool gold_reused = false;
     if (gold_cacheable) {
       gold_key = gold_run_key(config, program, 1'000'000);
       gold_reused = GoldRunCache::global().find(gold_key, gold);
-      if (gold_reused && batching) {
-        transitions = transitions_find(transitions_key(gold_key, bus));
-        // A snapshot hit without its transition stream still costs a
-        // traced gold re-run; count it as a miss so the accounting stays
-        // honest.
-        if (transitions == nullptr) gold_reused = false;
-      }
     }
     if (!gold_reused) {
-      soc::System& system = step.system;
-      soc::BusTrace trace;
-      if (batching) system.set_trace(&trace);
       gold = run_and_capture(system, program, 1'000'000);
-      system.set_trace(nullptr);
-      if (batching) transitions = collect_transitions(trace, bus);
-      if (gold_cacheable) {
-        step.stats.gold_evictions +=
-            GoldRunCache::global().store(gold_key, gold);
-        if (batching)
-          transitions_store(transitions_key(gold_key, bus), transitions);
-      }
+      if (gold_cacheable)
+        stats.gold_evictions += GoldRunCache::global().store(gold_key, gold);
     }
-    step.stats.gold_reuses += gold_reused ? 1 : 0;
+    stats.gold_reuses += gold_reused ? 1 : 0;
     if (!gold.completed)
       throw std::runtime_error("gold run did not complete; bad program");
     budget = gold.cycles * options.cycle_factor + 1000;
-    if (batching)
-      batch_screen(step, bus, library, *transitions, gold.cycles,
-                   options.batch_size, options.parallel);
     return gold.cycles;
   };
   mode.simulate = [&](std::size_t i, soc::System& system,

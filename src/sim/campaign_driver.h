@@ -5,9 +5,10 @@
 // per library defect, compared against a gold run.  A mode supplies only
 // its gold step, its per-defect simulate function (whose record type picks
 // the checkpoint format) and its tally.  The driver owns the rest, once:
-// shard validation, checkpoint restore, the per-worker simulators, the fan-out, the completion step (checkpoint
-// record, progress hook, kill/crash sites), the quarantine retry, the
-// final flush, the counters and the CampaignInterrupted report.
+// shard validation, checkpoint restore, the per-worker simulators, the
+// fan-out, the completion step (checkpoint record, progress hook,
+// kill/crash sites), the quarantine retry, the final flush, the counters
+// and the CampaignInterrupted report.
 
 #pragma once
 
@@ -22,33 +23,18 @@
 
 namespace xtest::sim::detail {
 
-/// What the driver hands a mode's gold step.
-template <typename Record>
-struct GoldStep {
-  /// The gold simulator, destroyed after the step.
-  soc::System& system;
-  /// The campaign's stats, for the step's own counters.
-  util::CampaignStats& stats;
-  /// 1 for each slot still to simulate (owned, not restored, not yet
-  /// completed).
-  const std::vector<std::uint8_t>& pending;
-  /// True once the campaign is cancelled (operator or kill site).
-  std::function<bool()> cancelled;
-  /// Completes slot i without simulating it (the off-line batch screen),
-  /// exactly as a fan-out worker would.
-  std::function<void(std::size_t i, const Record& record,
-                     std::uint64_t cycles)>
-      complete;
-};
-
 template <typename Record>
 struct CampaignMode {
   /// Checkpoint key when options.checkpoint_key is empty.  (The record
   /// type picks the format: Verdict -> kVerdicts, else kOnlineOutcomes.)
   std::string default_key;
-  /// The defect-free reference run.  Called after the checkpoint restore
-  /// and before the fan-out; returns the gold run's simulated cycles.
-  std::function<std::uint64_t(GoldStep<Record>& step)> gold;
+  /// The defect-free reference run on `system` (a fresh simulator,
+  /// destroyed afterwards), its own counters added onto `stats`.  Called
+  /// after the checkpoint restore and before the fan-out; returns the
+  /// gold run's simulated cycles.
+  std::function<std::uint64_t(soc::System& system,
+                              util::CampaignStats& stats)>
+      gold;
   /// Simulates defect i; sets `cycles` to the faulty run's cycles.  May
   /// throw: the driver quarantines the defect and retries it once.
   std::function<Record(std::size_t i, soc::System& system,
@@ -73,9 +59,5 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
 /// The system's nominal network for `bus`.
 const xtalk::RcNetwork& nominal_net(const soc::System& system,
                                     soc::BusKind bus);
-
-/// Installs `defect` on `bus` (cleared again by System::clear_defects).
-void apply_defect(soc::System& system, soc::BusKind bus,
-                  const xtalk::Defect& defect);
 
 }  // namespace xtest::sim::detail

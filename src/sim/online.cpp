@@ -98,7 +98,7 @@ OnlineOutcome simulate_one_online(soc::System& system,
                                   const std::vector<RoundSnap>& gold,
                                   std::uint64_t deadline_ms,
                                   std::uint64_t& global_cycles) {
-  detail::apply_defect(system, bus, defect);
+  system.apply_defect(bus, defect);
   try {
     soc::InterleavedScheduler sched(system, online, workload);
     sbst::ProgramSlice slice(program);
@@ -189,10 +189,10 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
   detail::CampaignMode<OnlineOutcome> mode;
   mode.default_key =
       online_checkpoint_key(bus, library, online, config.electrical);
-  mode.gold = [&](detail::GoldStep<OnlineOutcome>& step) {
+  mode.gold = [&](soc::System& system, util::CampaignStats&) {
     std::uint64_t cycles = 0;
-    gold_rounds = run_gold_schedule(step.system, online, workload,
-                                    program, result.gold, cycles);
+    gold_rounds = run_gold_schedule(system, online, workload, program,
+                                    result.gold, cycles);
     return cycles;
   };
   mode.simulate = [&](std::size_t i, soc::System& system,

@@ -48,36 +48,56 @@ System::System(const SystemConfig& config)
       ctrl_{nominal_ctrl_net_, nominal_ctrl_eval_,
             make_cache(config.transition_cache, nominal_ctrl_net_.width())} {}
 
-void System::set_network(BusChannel& channel,
-                         const xtalk::CrosstalkErrorModel& model,
-                         xtalk::RcNetwork net) {
-  channel.net = std::move(net);
-  channel.eval = xtalk::BusEvaluator(channel.net, model.config());
+void System::rebuild(BusChannel& channel,
+                     const xtalk::CrosstalkErrorModel& model) {
+  channel.eval.rebuild(channel.net, model.config());
+  channel.cache.invalidate();
+  channel.defective = true;
+}
+
+void System::restore(BusChannel& channel, const xtalk::RcNetwork& nominal,
+                     const xtalk::BusEvaluator& nominal_eval) {
+  if (channel.defective) {
+    channel.net = nominal;
+    channel.eval = nominal_eval;
+    channel.defective = false;
+  }
   channel.cache.invalidate();
 }
 
 void System::set_address_network(xtalk::RcNetwork net) {
-  set_network(addr_, addr_model_, std::move(net));
+  addr_.net = std::move(net);
+  rebuild(addr_, addr_model_);
 }
 
 void System::set_data_network(xtalk::RcNetwork net) {
-  set_network(data_, data_model_, std::move(net));
+  data_.net = std::move(net);
+  rebuild(data_, data_model_);
 }
 
 void System::set_control_network(xtalk::RcNetwork net) {
-  set_network(ctrl_, ctrl_model_, std::move(net));
+  ctrl_.net = std::move(net);
+  rebuild(ctrl_, ctrl_model_);
+}
+
+void System::apply_defect(BusKind bus, const xtalk::Defect& defect) {
+  switch (bus) {
+    case BusKind::kAddress:
+      defect.apply(nominal_addr_net_, addr_.net);
+      return rebuild(addr_, addr_model_);
+    case BusKind::kData:
+      defect.apply(nominal_data_net_, data_.net);
+      return rebuild(data_, data_model_);
+    case BusKind::kControl:
+      defect.apply(nominal_ctrl_net_, ctrl_.net);
+      return rebuild(ctrl_, ctrl_model_);
+  }
 }
 
 void System::clear_defects() {
-  addr_.net = nominal_addr_net_;
-  data_.net = nominal_data_net_;
-  ctrl_.net = nominal_ctrl_net_;
-  addr_.eval = nominal_addr_eval_;
-  data_.eval = nominal_data_eval_;
-  ctrl_.eval = nominal_ctrl_eval_;
-  addr_.cache.invalidate();
-  data_.cache.invalidate();
-  ctrl_.cache.invalidate();
+  restore(addr_, nominal_addr_net_, nominal_addr_eval_);
+  restore(data_, nominal_data_net_, nominal_data_eval_);
+  restore(ctrl_, nominal_ctrl_net_, nominal_ctrl_eval_);
 }
 
 void System::set_forced_maf(std::optional<ForcedMaf> f) {

@@ -123,11 +123,21 @@ class System : public cpu::BusPort {
   }
 
   /// Defect injection: replace a bus's RC network (pass the defect-applied
-  /// network).  Rebuilds the bus's fast evaluator and invalidates its
-  /// transition cache.  `clear_defects` restores all nominals.
+  /// network).  Rebuilds the bus's fast evaluator in place and invalidates
+  /// its transition cache.  `clear_defects` restores all nominals.
   void set_address_network(xtalk::RcNetwork net);
   void set_data_network(xtalk::RcNetwork net);
   void set_control_network(xtalk::RcNetwork net);
+
+  /// Installs `defect` on `bus`: the same network as
+  /// set_*_network(defect.apply(nominal)), built in the bus's own buffers,
+  /// so the per-defect swap of a campaign allocates nothing.  Throws
+  /// std::invalid_argument on a width mismatch, leaving the bus as it was.
+  void apply_defect(BusKind bus, const xtalk::Defect& defect);
+
+  /// Restores the nominal network and evaluator of every bus a defect
+  /// replaced (the others are already nominal) and invalidates all three
+  /// transition caches.
   void clear_defects();
 
   /// Forcing (or clearing) an ideal MAF invalidates the transition caches:
@@ -194,19 +204,24 @@ class System : public cpu::BusPort {
 
   /// One bus's active evaluation state: the defect-applied network, its
   /// precomputed fast evaluator, and the per-defect transition memo (empty
-  /// when the transition cache is off).
+  /// when the transition cache is off).  `defective` marks a channel
+  /// clear_defects must restore.
   struct BusChannel {
     xtalk::RcNetwork net;
     xtalk::BusEvaluator eval;
     xtalk::TransitionCache cache;
+    bool defective = false;
   };
 
   util::BusWord apply_bus(TristateBus& bus, BusChannel& channel,
                           const xtalk::CrosstalkErrorModel& model,
                           util::BusWord driven, xtalk::BusDirection direction);
 
-  void set_network(BusChannel& channel, const xtalk::CrosstalkErrorModel& model,
-                   xtalk::RcNetwork net);
+  /// Re-derives the channel's evaluator from its (new) network.
+  static void rebuild(BusChannel& channel,
+                      const xtalk::CrosstalkErrorModel& model);
+  static void restore(BusChannel& channel, const xtalk::RcNetwork& nominal,
+                      const xtalk::BusEvaluator& nominal_eval);
 
   std::uint8_t core_read(cpu::Addr addr);
   void core_write(cpu::Addr addr, std::uint8_t data);
@@ -223,7 +238,8 @@ class System : public cpu::BusPort {
   xtalk::CrosstalkErrorModel ctrl_model_;
   bool fast_receive_;
   // Nominal evaluators, prebuilt so clear_defects (once per defect in a
-  // campaign) restores them by copy instead of re-deriving rows.
+  // campaign) restores them by copy, into the channel's buffers, instead
+  // of re-deriving rows.
   xtalk::BusEvaluator nominal_addr_eval_;
   xtalk::BusEvaluator nominal_data_eval_;
   xtalk::BusEvaluator nominal_ctrl_eval_;

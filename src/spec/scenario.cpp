@@ -320,16 +320,6 @@ const std::vector<KeyDef>& key_table() {
        [](ScenarioSpec& s, const std::string& v) {
          s.defect_deadline_ms = u64_value(v);
        }},
-      {"campaign.batched",
-       [](const ScenarioSpec& s) { return bool_text(s.batched); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.batched = bool_value(v);
-       }},
-      {"campaign.batch_size",
-       [](const ScenarioSpec& s) { return u64_text(s.batch_size); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.batch_size = static_cast<std::size_t>(u64_value(v));
-       }},
       {"campaign.gold_cache_capacity",
        [](const ScenarioSpec& s) { return u64_text(s.gold_cache_capacity); },
        [](ScenarioSpec& s, const std::string& v) {
@@ -401,7 +391,18 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
   return out.str();
 }
 
-ScenarioSpec parse_scenario(const std::string& text) {
+const std::vector<RetiredKey>& retired_keys() {
+  static const std::vector<RetiredKey> table = {
+      {"campaign.batched",
+       "the batched pre-screen was removed; every defect is simulated"},
+      {"campaign.batch_size",
+       "the batched pre-screen was removed; every defect is simulated"},
+  };
+  return table;
+}
+
+ScenarioSpec parse_scenario(const std::string& text,
+                            std::vector<RetiredKey>* retired) {
   ScenarioSpec spec;
   std::set<std::string> seen;
   std::istringstream in(text);
@@ -424,10 +425,17 @@ ScenarioSpec parse_scenario(const std::string& text) {
         def = &k;
         break;
       }
-    if (def == nullptr)
+    const RetiredKey* gone = nullptr;
+    for (const RetiredKey& r : retired_keys())
+      if (key == r.key) gone = &r;
+    if (def == nullptr && gone == nullptr)
       throw SpecParseError(line_no, "unknown key '" + key + "'");
     if (!seen.insert(key).second)
       throw SpecParseError(line_no, "duplicate key '" + key + "'");
+    if (gone != nullptr) {  // parsed, ignored
+      if (retired != nullptr) retired->push_back(*gone);
+      continue;
+    }
     try {
       def->set(spec, value);
     } catch (const std::invalid_argument& e) {
@@ -459,8 +467,6 @@ sim::CampaignOptions ScenarioSpec::campaign_options(
   opts.reuse_gold = reuse_gold;
   opts.checkpoint_every = checkpoint_every;
   opts.defect_deadline_ms = defect_deadline_ms;
-  opts.batched = batched;
-  opts.batch_size = batch_size;
   opts.shard = {shard_index, shard_count};
   return opts;
 }
@@ -496,8 +502,6 @@ void ScenarioSpec::validate() const {
            "program.data_bus)");
   if (cycle_factor == 0)
     throw SpecParseError(0, "campaign.cycle_factor must be positive");
-  if (batch_size == 0)
-    throw SpecParseError(0, "campaign.batch_size must be at least 1");
   if (shard_count == 0)
     throw SpecParseError(0, "campaign.shard count must be at least 1");
   if (shard_index >= shard_count)
@@ -678,7 +682,8 @@ ScenarioSpec builtin_scenario(const std::string& name) {
   throw SpecParseError(0, "unknown built-in scenario '" + name + "'");
 }
 
-ScenarioSpec load_scenario(const std::string& name_or_file) {
+ScenarioSpec load_scenario(const std::string& name_or_file,
+                           std::vector<RetiredKey>* retired) {
   if (std::optional<ScenarioSpec> s = find_builtin(name_or_file)) return *s;
   std::ifstream in(name_or_file);
   if (!in)
@@ -686,7 +691,7 @@ ScenarioSpec load_scenario(const std::string& name_or_file) {
                       "' (not a built-in name: see `xtest scenarios`)");
   std::ostringstream ss;
   ss << in.rdbuf();
-  return parse_scenario(ss.str());
+  return parse_scenario(ss.str(), retired);
 }
 
 }  // namespace xtest::spec

@@ -98,11 +98,9 @@ struct ScenarioSpec {
   bool reuse_gold = true;
   std::size_t checkpoint_every = 32;
   std::uint64_t defect_deadline_ms = 0;
-  /// Transition-major batched pre-screening (CampaignOptions::batched /
-  /// batch_size): verdicts are bitwise identical with batching on or off,
-  /// at any batch size, so these are pure throughput knobs.
+  /// Retired with the batched screen (DESIGN.md D14): no key sets it and
+  /// no campaign reads it.  Kept so code that still assigns it compiles.
   bool batched = true;
-  std::size_t batch_size = 64;
   /// Entry cap applied to the process-wide sim::GoldRunCache before the
   /// campaign runs (LRU eviction beyond it).
   std::size_t gold_cache_capacity = 256;
@@ -156,9 +154,23 @@ struct ScenarioSpec {
 /// (%.17g for doubles), so parse_scenario round-trips exactly.
 std::string serialize_scenario(const ScenarioSpec& spec);
 
+/// A key older binaries wrote for a mechanism that is gone.  It still
+/// parses, so their scenario dumps and queued serve jobs keep running,
+/// but serialize_scenario never writes it.
+struct RetiredKey {
+  const char* key;
+  const char* why;  ///< one line: what went, and why
+};
+
+/// Every retired key, in the order they were retired.
+const std::vector<RetiredKey>& retired_keys();
+
 /// Text -> scenario.  Unset keys default; unknown keys, duplicate keys and
-/// bad values throw SpecParseError with the 1-based line number.
-ScenarioSpec parse_scenario(const std::string& text);
+/// bad values throw SpecParseError with the 1-based line number.  A
+/// retired key parses with any value and is ignored; when `retired` is
+/// non-null each one the text sets is appended to it.
+ScenarioSpec parse_scenario(const std::string& text,
+                            std::vector<RetiredKey>* retired = nullptr);
 
 /// Names of the built-in scenarios, in display order.
 const std::vector<std::string>& builtin_scenario_names();
@@ -172,7 +184,8 @@ ScenarioSpec builtin_scenario(const std::string& name);
 
 /// Resolves `name_or_file`: a built-in name wins, otherwise the argument
 /// is a scenario file path (SpecIoError when unreadable, SpecParseError
-/// when malformed).
-ScenarioSpec load_scenario(const std::string& name_or_file);
+/// when malformed; `retired` as for parse_scenario).
+ScenarioSpec load_scenario(const std::string& name_or_file,
+                           std::vector<RetiredKey>* retired = nullptr);
 
 }  // namespace xtest::spec

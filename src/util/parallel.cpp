@@ -118,7 +118,7 @@ std::string CampaignStats::json(const std::string& label) const {
       "{\"campaign\":\"%s\",\"threads\":%u,"
       "\"hardware_concurrency\":%u,\"build_type\":\"%s\",\"defects\":%zu,"
       "\"simulated_cycles\":%llu,\"wall_seconds\":%.6f,"
-      "\"library_seconds\":%.6f,\"screen_seconds\":%.6f,"
+      "\"library_seconds\":%.6f,"
       "\"defects_per_second\":%.1f,\"detected\":%zu,"
       "\"detected_by_timeout\":%zu,\"undetected\":%zu,\"sim_errors\":%zu,"
       "\"retries\":%zu,\"restored_from_checkpoint\":%zu,"
@@ -126,8 +126,6 @@ std::string CampaignStats::json(const std::string& label) const {
       "\"flush_failures\":%zu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
       "\"cache_hit_rate\":%.4f,\"gold_reuses\":%zu,\"gold_evictions\":%zu,"
       "\"run_reuses\":%zu,"
-      "\"batch_screened\":%zu,\"batched_transitions\":%llu,"
-      "\"batch_lanes\":%zu,\"batch_capacity\":%zu,\"batch_fill\":%.4f,"
       "\"decode_cache_hits\":%llu,\"jit_bailouts\":%llu,"
       "\"online_rounds\":%llu,\"online_mmio_heartbeats\":%llu,"
       "\"online_deadlines_late\":%llu,\"online_deadlines_missed\":%llu,"
@@ -136,15 +134,13 @@ std::string CampaignStats::json(const std::string& label) const {
       label.c_str(), threads, std::thread::hardware_concurrency(),
       build_type(), defects_simulated,
       static_cast<unsigned long long>(simulated_cycles), wall_seconds,
-      library_seconds, screen_seconds, defects_per_second(), detected,
+      library_seconds, defects_per_second(), detected,
       detected_by_timeout, undetected,
       sim_errors, retries, restored_from_checkpoint, salvaged_sections,
       dropped_slots, flush_failures,
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses), cache_hit_rate(),
-      gold_reuses, gold_evictions, run_reuses, batch_screened,
-      static_cast<unsigned long long>(batched_transitions), batch_lanes,
-      batch_capacity, batch_fill(),
+      gold_reuses, gold_evictions, run_reuses,
       static_cast<unsigned long long>(decode_cache_hits),
       static_cast<unsigned long long>(jit_bailouts),
       static_cast<unsigned long long>(online_rounds),
@@ -161,7 +157,6 @@ void CampaignStats::merge_from(const CampaignStats& other) {
   simulated_cycles += other.simulated_cycles;
   wall_seconds += other.wall_seconds;
   library_seconds += other.library_seconds;
-  screen_seconds += other.screen_seconds;
   threads = std::max(threads, other.threads);
   detected += other.detected;
   detected_by_timeout += other.detected_by_timeout;
@@ -177,10 +172,6 @@ void CampaignStats::merge_from(const CampaignStats& other) {
   gold_reuses += other.gold_reuses;
   gold_evictions += other.gold_evictions;
   run_reuses += other.run_reuses;
-  batch_screened += other.batch_screened;
-  batched_transitions += other.batched_transitions;
-  batch_lanes += other.batch_lanes;
-  batch_capacity += other.batch_capacity;
   decode_cache_hits += other.decode_cache_hits;
   jit_bailouts += other.jit_bailouts;
   online_rounds += other.online_rounds;
@@ -246,7 +237,6 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
   any |= json_counter(obj, "simulated_cycles", out.simulated_cycles);
   any |= json_counter(obj, "wall_seconds", out.wall_seconds);
   any |= json_counter(obj, "library_seconds", out.library_seconds);
-  any |= json_counter(obj, "screen_seconds", out.screen_seconds);
   any |= json_counter(obj, "threads", out.threads);
   any |= json_counter(obj, "detected", out.detected);
   any |= json_counter(obj, "detected_by_timeout", out.detected_by_timeout);
@@ -263,10 +253,6 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
   any |= json_counter(obj, "gold_reuses", out.gold_reuses);
   any |= json_counter(obj, "gold_evictions", out.gold_evictions);
   any |= json_counter(obj, "run_reuses", out.run_reuses);
-  any |= json_counter(obj, "batch_screened", out.batch_screened);
-  any |= json_counter(obj, "batched_transitions", out.batched_transitions);
-  any |= json_counter(obj, "batch_lanes", out.batch_lanes);
-  any |= json_counter(obj, "batch_capacity", out.batch_capacity);
   any |= json_counter(obj, "decode_cache_hits", out.decode_cache_hits);
   any |= json_counter(obj, "jit_bailouts", out.jit_bailouts);
   any |= json_counter(obj, "online_rounds", out.online_rounds);

@@ -92,9 +92,6 @@ struct CampaignStats {
   /// Host wall-clock time spent generating defect libraries (before, and
   /// outside, the campaign calls that wall_seconds covers).
   double library_seconds = 0.0;
-  /// Host wall-clock time spent in the batched screen (inside
-  /// wall_seconds: screening, plus completing the screened defects).
-  double screen_seconds = 0.0;
   /// Resolved worker count of the most recent campaign call.
   unsigned threads = 0;
 
@@ -133,18 +130,10 @@ struct CampaignStats {
   /// removed with the accelerated execution tiers, DESIGN.md D13).  Kept
   /// so stats consumers that read the field keep working.
   std::size_t run_reuses = 0;
-  // Transition-major batched screening (verdicts are unaffected: a
-  // screened defect provably produces the gold response).
-  /// Defects proven undetected by the batched screen, never simulated.
+  /// Always 0: every pending slot is simulated (the batched screen was
+  /// removed, DESIGN.md D14).  Kept, with batch_fill(), so stats
+  /// consumers that read it keep working.
   std::size_t batch_screened = 0;
-  /// Gold transitions scored against a whole DefectBatch window (one per
-  /// screen pass; early-exits when a window has no live lane left).
-  std::uint64_t batched_transitions = 0;
-  /// Defect lanes gathered into batches, and the total lane capacity of
-  /// the launched batches (batches x batch_size); their ratio is the
-  /// batch fill.
-  std::size_t batch_lanes = 0;
-  std::size_t batch_capacity = 0;
   // Former execution-tier counters.  Always 0: the reference interpreter
   // is the only executor (DESIGN.md D13).  Kept so stats consumers that
   // read the fields keep working.
@@ -179,13 +168,8 @@ struct CampaignStats {
                : 0.0;
   }
 
-  /// Fraction of gathered lanes over launched batch capacity, in [0, 1]
-  /// (1.0 = every batch ran full; partial tail windows lower it).
-  double batch_fill() const {
-    return batch_capacity > 0 ? static_cast<double>(batch_lanes) /
-                                    static_cast<double>(batch_capacity)
-                              : 0.0;
-  }
+  /// Always 0, like batch_screened (the batched screen was removed).
+  double batch_fill() const { return 0.0; }
 
   /// Fraction of cache-eligible transfers served from the memo, in [0, 1].
   double cache_hit_rate() const {
@@ -204,7 +188,7 @@ struct CampaignStats {
 
   /// Adds another campaign's RAW counters onto this one (shard merge,
   /// supervised workers).  Every derived ratio -- cache_hit_rate,
-  /// batch_fill, defects_per_second -- stays a function over the merged
+  /// defects_per_second -- stays a function over the merged
   /// raw counters, so merging never averages rates: the merged hit rate
   /// is (sum hits) / (sum hits + sum misses), not the mean of per-shard
   /// rates.  wall_seconds and the phase times accumulate (aggregate time
@@ -226,7 +210,7 @@ struct StatsJsonError : std::runtime_error {
 };
 
 /// Best-effort inverse of CampaignStats::json for the flat numeric fields
-/// (verdict breakdown, cycles, cache/batch/gold counters, wall_seconds,
+/// (verdict breakdown, cycles, cache/gold counters, wall_seconds,
 /// the phase times, threads).  Scans `line` for the first '{'...'}' JSON
 /// object; returns false when no such object or no known key is found,
 /// and throws

@@ -103,10 +103,15 @@ void Defect::check_width(const RcNetwork& nominal, const char* caller) const {
 }
 
 RcNetwork Defect::apply(const RcNetwork& nominal) const {
-  check_width(nominal, "Defect::apply");
   RcNetwork net = nominal;
-  net.scale_couplings(factors_.data());
+  apply(nominal, net);
   return net;
+}
+
+void Defect::apply(const RcNetwork& nominal, RcNetwork& out) const {
+  check_width(nominal, "Defect::apply");
+  out = nominal;
+  out.scale_couplings(factors_.data());
 }
 
 std::vector<unsigned> Defect::defective_wires(const RcNetwork& nominal,

@@ -92,6 +92,11 @@ class Defect {
   /// std::invalid_argument on a width mismatch.
   RcNetwork apply(const RcNetwork& nominal) const;
 
+  /// The same network written into `out`, reusing its buffers (the
+  /// per-defect swap of a campaign's simulator).  `out` is untouched when
+  /// the width check throws.
+  void apply(const RcNetwork& nominal, RcNetwork& out) const;
+
   /// Wires whose net coupling exceeds `cth_fF` under this defect.  Throws
   /// std::invalid_argument on a width mismatch.
   std::vector<unsigned> defective_wires(const RcNetwork& nominal,

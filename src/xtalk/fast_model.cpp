@@ -11,17 +11,25 @@ namespace {
 constexpr double kLn2 = 0.6931471805599453;
 }  // namespace
 
-BusEvaluator::BusEvaluator(const RcNetwork& net, const ErrorModelConfig& config)
-    : width_(net.width()),
-      quiet_is_identity_(config.glitch_threshold_v > 0.0),
-      vdd_v_(config.vdd_v),
-      glitch_threshold_v_(config.glitch_threshold_v),
-      delay_slack_ns_(config.delay_slack_ns),
-      driver_resistance_ohm_(net.driver_resistance()),
-      rows_(static_cast<std::size_t>(width_) * width_),
-      glitch_denom_(width_),
-      ground_(width_) {
+BusEvaluator::BusEvaluator(const RcNetwork& net,
+                           const ErrorModelConfig& config) {
+  rebuild(net, config);
+}
+
+void BusEvaluator::rebuild(const RcNetwork& net,
+                           const ErrorModelConfig& config) {
+  width_ = net.width();
+  quiet_is_identity_ = config.glitch_threshold_v > 0.0;
+  vdd_v_ = config.vdd_v;
+  glitch_threshold_v_ = config.glitch_threshold_v;
+  delay_slack_ns_ = config.delay_slack_ns;
+  driver_resistance_ohm_ = net.driver_resistance();
   assert(width_ >= 1 && width_ <= 64);
+  // Every slot of the three tables is written below.
+  rows_.resize(static_cast<std::size_t>(width_) * width_);
+  glitch_denom_.resize(width_);
+  ground_.resize(width_);
+  active_.clear();
   // Sound worst-case bounds, conservative in the FP sense: a wire whose
   // worst achievable excursion (all aggressors conspiring) sits strictly
   // below the threshold -- with a relative margin dwarfing any rounding

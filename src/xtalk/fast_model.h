@@ -47,6 +47,12 @@ class BusEvaluator {
 
   BusEvaluator(const RcNetwork& net, const ErrorModelConfig& config);
 
+  /// Re-derives the evaluator for (net, config) in place, reusing its
+  /// buffers: the same terms in the same order as construction, so the
+  /// result is bit-identical to BusEvaluator(net, config) without
+  /// allocating when the width does not grow.
+  void rebuild(const RcNetwork& net, const ErrorModelConfig& config);
+
   unsigned width() const { return width_; }
 
   /// True when a quiet transfer (v1 == v2) provably samples the driven word,

@@ -168,7 +168,6 @@ TEST(ExecTier, CampaignAccountsDecodeTraffic) {
     util::CampaignStats stats;
     sim::CampaignOptions o;
     o.stats = &stats;
-    o.batched = false;
     sim::run_detection(config, prog.program, soc::BusKind::kAddress, lib, o);
     EXPECT_EQ(stats.decode_cache_hits, 0u) << pass;
     EXPECT_EQ(stats.jit_bailouts, 0u) << pass;

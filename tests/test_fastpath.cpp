@@ -250,6 +250,77 @@ TEST(FastPath, DefectInjectionInvalidatesTransitionCache) {
   compare_traffic();  // restored nominal
 }
 
+TEST(FastPath, PerDefectSwapMatchesAFreshSystemOnEveryBus) {
+  // apply_defect builds the defective network and evaluator in the bus's
+  // own buffers, and clear_defects restores only the bus a defect
+  // replaced.  One reused system takes defects on addr, then data, then
+  // control, cleared between each: under a defect its traffic on all
+  // three buses must match a fresh system given the same defect through
+  // set_*_network, and after each clear a fresh nominal system.
+  using Received = std::vector<std::pair<soc::BusKind, std::uint64_t>>;
+  const auto traffic = [](soc::System& sys) {
+    soc::BusTrace trace;
+    sys.load_and_reset(cpu::MemoryImage{}, 0);
+    sys.set_trace(&trace);
+    std::mt19937_64 rng(7);
+    for (int k = 0; k < 128; ++k) {
+      const auto addr = static_cast<cpu::Addr>(rng() & 0xfff);
+      sys.write(addr, static_cast<std::uint8_t>(rng()));
+      sys.read(addr);
+    }
+    sys.set_trace(nullptr);
+    Received out;
+    for (const soc::BusEvent& e : trace.events())
+      out.emplace_back(e.bus, e.received.bits());
+    return out;
+  };
+  const soc::SystemConfig cfg;
+  soc::System reused{cfg};
+  const Received nominal = [&] {
+    soc::System fresh{cfg};
+    return traffic(fresh);
+  }();
+  ASSERT_EQ(traffic(reused), nominal);
+
+  bool any_deviation = false;
+  for (const soc::BusKind bus : {soc::BusKind::kAddress, soc::BusKind::kData,
+                                 soc::BusKind::kControl}) {
+    const xtalk::DefectLibrary lib = sim::make_defect_library(cfg, bus, 4, 99);
+    for (std::size_t i = 0; i < lib.size(); ++i) {
+      soc::System fresh{cfg};
+      switch (bus) {
+        case soc::BusKind::kAddress:
+          fresh.set_address_network(
+              lib[i].apply(fresh.nominal_address_network()));
+          break;
+        case soc::BusKind::kData:
+          fresh.set_data_network(lib[i].apply(fresh.nominal_data_network()));
+          break;
+        case soc::BusKind::kControl:
+          fresh.set_control_network(
+              lib[i].apply(fresh.nominal_control_network()));
+          break;
+      }
+      reused.apply_defect(bus, lib[i]);
+      const Received defective = traffic(reused);
+      EXPECT_EQ(defective, traffic(fresh))
+          << soc::to_string(bus) << " defect " << i;
+      any_deviation |= defective != nominal;
+      reused.clear_defects();
+      EXPECT_EQ(traffic(reused), nominal)
+          << soc::to_string(bus) << " cleared after defect " << i;
+    }
+  }
+  EXPECT_TRUE(any_deviation);  // the defects reached the receivers
+
+  // A width-mismatched defect throws and leaves the bus nominal.
+  const xtalk::DefectLibrary wrong =
+      sim::make_defect_library(cfg, soc::BusKind::kData, 1, 99);
+  EXPECT_THROW(reused.apply_defect(soc::BusKind::kAddress, wrong[0]),
+               std::invalid_argument);
+  EXPECT_EQ(traffic(reused), nominal);
+}
+
 TEST(GoldCache, KeyCoversConfigAndProgramButNotPerfKnobs) {
   const auto prog =
       sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();

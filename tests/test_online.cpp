@@ -243,9 +243,11 @@ TEST(OnlineCampaign, SessionsMergeFirstDetectionWins) {
   }
   ASSERT_GT(live, 1u);
   EXPECT_EQ(merged.gold.rounds, single_gold_rounds);
-  for (const sim::OnlineOutcome& o : merged.outcomes)
-    if (sim::is_detected(o.verdict))
+  for (const sim::OnlineOutcome& o : merged.outcomes) {
+    if (sim::is_detected(o.verdict)) {
       EXPECT_GT(o.detection_latency_cycles, 0u);
+    }
+  }
 }
 
 TEST(OnlineCampaign, EmptySessionSetRejected) {

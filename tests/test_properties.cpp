@@ -296,9 +296,11 @@ TEST(SignatureCompaction, MissingContributionFlipsExactlyItsOwnBit) {
       const std::uint8_t observed = static_cast<std::uint8_t>(gold - pass);
       EXPECT_EQ(static_cast<std::uint8_t>(gold ^ observed), pass);
       // No other member's one-hot value overlaps the flipped bits.
-      for (unsigned other = 0; other < size; ++other)
-        if (other != fail)
+      for (unsigned other = 0; other < size; ++other) {
+        if (other != fail) {
           EXPECT_EQ((gold ^ observed) & (1u << other), 0u);
+        }
+      }
     }
   }
 }

@@ -727,8 +727,7 @@ TEST(StatsJson, FuzzRoundTripProperty) {
     st.cache_hits = rng.below(1u << 20);
     st.cache_misses = rng.below(1u << 20);
     st.gold_reuses = rng.below(1000);
-    st.batch_screened = rng.below(1000);
-    st.batched_transitions = rng.below(1u << 20);
+    st.gold_evictions = rng.below(1000);
     util::CampaignStats back;
     ASSERT_TRUE(util::parse_stats_json(st.json("fuzz"), back));
     EXPECT_EQ(back.defects_simulated, st.defects_simulated);
@@ -740,8 +739,7 @@ TEST(StatsJson, FuzzRoundTripProperty) {
     EXPECT_EQ(back.cache_hits, st.cache_hits);
     EXPECT_EQ(back.cache_misses, st.cache_misses);
     EXPECT_EQ(back.gold_reuses, st.gold_reuses);
-    EXPECT_EQ(back.batch_screened, st.batch_screened);
-    EXPECT_EQ(back.batched_transitions, st.batched_transitions);
+    EXPECT_EQ(back.gold_evictions, st.gold_evictions);
   }
 }
 

@@ -240,6 +240,31 @@ TEST(ScenarioSpec, DuplicateKeyIsAnError) {
   }
 }
 
+TEST(ScenarioSpec, RetiredKeysParseAreIgnoredAndNeverSerialize) {
+  // Keys of removed mechanisms still load (older dumps, queued serve
+  // jobs), with any value, and are reported to the caller; the spec is
+  // the one without them, and no dump writes them back.
+  const std::string text = "defects = 7\ncampaign.batched = false\n"
+                           "campaign.batch_size = whatever\n";
+  std::vector<RetiredKey> retired;
+  ScenarioSpec expected;
+  expected.defect_count = 7;
+  EXPECT_EQ(parse_scenario(text, &retired), expected);
+  ASSERT_EQ(retired.size(), 2u);
+  EXPECT_EQ(std::string(retired[0].key), "campaign.batched");
+  EXPECT_EQ(std::string(retired[1].key), "campaign.batch_size");
+  EXPECT_EQ(parse_scenario(text), expected);  // the report is optional
+  for (const RetiredKey& r : retired_keys()) {
+    EXPECT_NE(std::string(r.why), "");
+    EXPECT_EQ(serialize_scenario(expected).find(r.key), std::string::npos)
+        << r.key;
+  }
+  // A retired key is still a key: stating it twice is an error.
+  EXPECT_EQ(parse_error_line("campaign.batched = true\n"
+                             "campaign.batched = true\n"),
+            2);
+}
+
 TEST(ScenarioSpec, MissingEqualsIsAnError) {
   EXPECT_EQ(parse_error_line("defects 5\n"), 1);
   EXPECT_EQ(parse_error_line("= 5\n"), 1);
