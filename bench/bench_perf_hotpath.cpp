@@ -24,7 +24,6 @@
 #include "bench_util.h"
 #include "sbst/generator.h"
 #include "sim/campaign.h"
-#include "sim/gold_cache.h"
 #include "sim/online.h"
 #include "soc/bus.h"
 #include "soc/system.h"
@@ -115,7 +114,6 @@ double receive_ns_reference(const xtalk::RcNetwork& net,
 /// One serial multi-session campaign on the slow-tester electricals (clock
 /// period scaled 3x), 96 defects through every session.
 double campaign_point() {
-  sim::GoldRunCache::global().clear();
   spec::ScenarioSpec s = spec::builtin_scenario("slow-tester");
   s.defect_count = 96;
   const auto sessions = s.make_sessions();
@@ -141,7 +139,6 @@ struct OnlinePoint {
 /// functional workload, plus the detection-latency aggregate the perf
 /// gate tracks (the off-line flow has no such number).
 OnlinePoint online_point() {
-  sim::GoldRunCache::global().clear();
   spec::ScenarioSpec s = spec::builtin_scenario("online-baseline");
   s.defect_count = 32;
   const auto sessions = s.make_sessions();

@@ -123,9 +123,14 @@ std::size_t JobQueue::load() {
                              ver >> sta >> err) &&
            word == "job" && state <= 3 && j.priority >= 0 && j.priority <= 9;
     }
-    const std::size_t payload = scn + ver + sta + err;
-    ok = ok && pos + payload + 1 <= text.size() &&
-         text[pos + payload] == '\n';
+    // Each length is checked against the bytes left before it is added,
+    // so no set of lengths can wrap the sum past a short file.
+    std::size_t payload = 0;
+    for (const std::size_t len : {scn, ver, sta, err}) {
+      ok = ok && len <= text.size() - pos - payload;
+      if (ok) payload += len;
+    }
+    ok = ok && payload < text.size() - pos && text[pos + payload] == '\n';
     std::uint32_t want = 0;
     std::string crc2;
     if (ok) {

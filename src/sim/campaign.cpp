@@ -9,7 +9,6 @@
 #include <type_traits>
 
 #include "sim/campaign_driver.h"
-#include "sim/gold_cache.h"
 #include "util/fault_injector.h"
 
 namespace xtest::sim {
@@ -134,7 +133,7 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
   std::uint64_t gold_cycles = 0;
   {
     soc::System gold_system(config);
-    gold_cycles = mode.gold(gold_system, stats);
+    gold_cycles = mode.gold(gold_system);
     add_counters(gold_system);
   }
 
@@ -312,30 +311,13 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    const xtalk::DefectLibrary& library,
                                    const CampaignOptions& options) {
   const std::size_t n = library.size();
-  // Gold-run reuse: the snapshot is a pure function of (config, program,
-  // budget), so identical gold programs across sessions, per-line sweeps,
-  // and checkpoint resumes are answered from the process-wide memo.  An
-  // armed fault injector bypasses the memo (see gold_cache.h).
-  const bool gold_cacheable =
-      options.reuse_gold && !util::FaultInjector::global().armed();
   ResponseSnapshot gold;
-  std::uint64_t gold_key = 0;
   std::uint64_t budget = 0;
 
   detail::CampaignMode<Verdict> mode;
   mode.default_key = default_checkpoint_key(bus, library);
-  mode.gold = [&](soc::System& system, util::CampaignStats& stats) {
-    bool gold_reused = false;
-    if (gold_cacheable) {
-      gold_key = gold_run_key(config, program, 1'000'000);
-      gold_reused = GoldRunCache::global().find(gold_key, gold);
-    }
-    if (!gold_reused) {
-      gold = run_and_capture(system, program, 1'000'000);
-      if (gold_cacheable)
-        stats.gold_evictions += GoldRunCache::global().store(gold_key, gold);
-    }
-    stats.gold_reuses += gold_reused ? 1 : 0;
+  mode.gold = [&](soc::System& system) {
+    gold = run_and_capture(system, program, 1'000'000);
     if (!gold.completed)
       throw std::runtime_error("gold run did not complete; bad program");
     budget = gold.cycles * options.cycle_factor + 1000;

@@ -105,12 +105,6 @@ struct CampaignOptions {
   /// defect simulation exceeding this is quarantined as kSimError instead
   /// of wedging its worker for the whole cycle budget.
   std::uint64_t defect_deadline_ms = 0;
-  /// Reuse gold snapshots from the process-wide GoldRunCache (keyed by a
-  /// hash of the system config + program) instead of re-simulating
-  /// identical gold programs per session/line/resume.  Automatically
-  /// bypassed while the fault injector is armed, so injected faults hit
-  /// the same runs they would without the memo.
-  bool reuse_gold = true;
   /// Shard of the library this call simulates (default: all of it).
   /// Non-owned slots are never simulated, checkpointed, or tallied into
   /// stats; they stay kUndetected placeholders in the returned vector,

@@ -29,12 +29,9 @@ struct CampaignMode {
   /// type picks the format: Verdict -> kVerdicts, else kOnlineOutcomes.)
   std::string default_key;
   /// The defect-free reference run on `system` (a fresh simulator,
-  /// destroyed afterwards), its own counters added onto `stats`.  Called
-  /// after the checkpoint restore and before the fan-out; returns the
-  /// gold run's simulated cycles.
-  std::function<std::uint64_t(soc::System& system,
-                              util::CampaignStats& stats)>
-      gold;
+  /// destroyed afterwards).  Called once, after the checkpoint restore and
+  /// before the fan-out; returns the gold run's simulated cycles.
+  std::function<std::uint64_t(soc::System& system)> gold;
   /// Simulates defect i; sets `cycles` to the faulty run's cycles.  May
   /// throw: the driver quarantines the defect and retries it once.
   std::function<Record(std::size_t i, soc::System& system,

@@ -189,7 +189,7 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
   detail::CampaignMode<OnlineOutcome> mode;
   mode.default_key =
       online_checkpoint_key(bus, library, online, config.electrical);
-  mode.gold = [&](soc::System& system, util::CampaignStats&) {
+  mode.gold = [&](soc::System& system) {
     std::uint64_t cycles = 0;
     gold_rounds = run_gold_schedule(system, online, workload, program,
                                     result.gold, cycles);

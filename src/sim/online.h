@@ -52,9 +52,8 @@ struct OnlineResult {
 /// stats, retry_errors, cancel, progress, defect_deadline_ms, and the
 /// checkpoint_* knobs (the on-line checkpoint persists each completed
 /// outcome -- verdict, latency, and interference -- so a resumed campaign
-/// reports exactly the uninterrupted stats).  Gold memo reuse and
-/// sharding do not apply on-line and are ignored; ShardSpec other than
-/// {0,1} throws.
+/// reports exactly the uninterrupted stats).  Sharding does not apply
+/// on-line; ShardSpec other than {0,1} throws.
 OnlineResult run_online_detection(const soc::SystemConfig& config,
                                   const soc::OnlineConfig& online,
                                   const sbst::TestProgram& program,

@@ -11,7 +11,6 @@
 
 #include "cpu/isa.h"
 #include "cpu/microcode.h"
-#include "sim/gold_cache.h"
 #include "soc/control.h"
 
 namespace xtest::spec {
@@ -305,11 +304,6 @@ const std::vector<KeyDef>& key_table() {
        [](ScenarioSpec& s, const std::string& v) {
          s.retry_errors = bool_value(v);
        }},
-      {"campaign.reuse_gold",
-       [](const ScenarioSpec& s) { return bool_text(s.reuse_gold); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.reuse_gold = bool_value(v);
-       }},
       {"campaign.checkpoint_every",
        [](const ScenarioSpec& s) { return u64_text(s.checkpoint_every); },
        [](ScenarioSpec& s, const std::string& v) {
@@ -319,11 +313,6 @@ const std::vector<KeyDef>& key_table() {
        [](const ScenarioSpec& s) { return u64_text(s.defect_deadline_ms); },
        [](ScenarioSpec& s, const std::string& v) {
          s.defect_deadline_ms = u64_value(v);
-       }},
-      {"campaign.gold_cache_capacity",
-       [](const ScenarioSpec& s) { return u64_text(s.gold_cache_capacity); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.gold_cache_capacity = static_cast<std::size_t>(u64_value(v));
        }},
       {"campaign.compare_bist",
        [](const ScenarioSpec& s) { return bool_text(s.compare_bist); },
@@ -397,6 +386,10 @@ const std::vector<RetiredKey>& retired_keys() {
        "the batched pre-screen was removed; every defect is simulated"},
       {"campaign.batch_size",
        "the batched pre-screen was removed; every defect is simulated"},
+      {"campaign.reuse_gold",
+       "the gold-run memo was removed; each campaign runs its gold once"},
+      {"campaign.gold_cache_capacity",
+       "the gold-run memo was removed; each campaign runs its gold once"},
   };
   return table;
 }
@@ -458,13 +451,11 @@ std::vector<sbst::GenerationResult> ScenarioSpec::make_sessions() const {
 
 sim::CampaignOptions ScenarioSpec::campaign_options(
     util::CampaignStats* stats) const {
-  sim::GoldRunCache::global().set_capacity(gold_cache_capacity);
   sim::CampaignOptions opts;
   opts.cycle_factor = cycle_factor;
   opts.parallel = {threads};
   opts.stats = stats;
   opts.retry_errors = retry_errors;
-  opts.reuse_gold = reuse_gold;
   opts.checkpoint_every = checkpoint_every;
   opts.defect_deadline_ms = defect_deadline_ms;
   opts.shard = {shard_index, shard_count};

@@ -95,15 +95,11 @@ struct ScenarioSpec {
   std::uint64_t cycle_factor = 16;
   unsigned threads = 0;  ///< 0 = auto ($XTEST_THREADS / hardware)
   bool retry_errors = true;
-  bool reuse_gold = true;
   std::size_t checkpoint_every = 32;
   std::uint64_t defect_deadline_ms = 0;
   /// Retired with the batched screen (DESIGN.md D14): no key sets it and
   /// no campaign reads it.  Kept so code that still assigns it compiles.
   bool batched = true;
-  /// Entry cap applied to the process-wide sim::GoldRunCache before the
-  /// campaign runs (LRU eviction beyond it).
-  std::size_t gold_cache_capacity = 256;
   /// Also run the hardware-BIST baseline over the same library and report
   /// the coverage comparison (the paper's Section 1 argument).
   bool compare_bist = false;

@@ -124,7 +124,7 @@ std::string CampaignStats::json(const std::string& label) const {
       "\"retries\":%zu,\"restored_from_checkpoint\":%zu,"
       "\"salvaged_sections\":%zu,\"dropped_slots\":%zu,"
       "\"flush_failures\":%zu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
-      "\"cache_hit_rate\":%.4f,\"gold_reuses\":%zu,\"gold_evictions\":%zu,"
+      "\"cache_hit_rate\":%.4f,\"gold_reuses\":%zu,"
       "\"run_reuses\":%zu,"
       "\"decode_cache_hits\":%llu,\"jit_bailouts\":%llu,"
       "\"online_rounds\":%llu,\"online_mmio_heartbeats\":%llu,"
@@ -140,7 +140,7 @@ std::string CampaignStats::json(const std::string& label) const {
       dropped_slots, flush_failures,
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses), cache_hit_rate(),
-      gold_reuses, gold_evictions, run_reuses,
+      gold_reuses, run_reuses,
       static_cast<unsigned long long>(decode_cache_hits),
       static_cast<unsigned long long>(jit_bailouts),
       static_cast<unsigned long long>(online_rounds),
@@ -170,7 +170,6 @@ void CampaignStats::merge_from(const CampaignStats& other) {
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
   gold_reuses += other.gold_reuses;
-  gold_evictions += other.gold_evictions;
   run_reuses += other.run_reuses;
   decode_cache_hits += other.decode_cache_hits;
   jit_bailouts += other.jit_bailouts;
@@ -251,7 +250,6 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
   any |= json_counter(obj, "cache_hits", out.cache_hits);
   any |= json_counter(obj, "cache_misses", out.cache_misses);
   any |= json_counter(obj, "gold_reuses", out.gold_reuses);
-  any |= json_counter(obj, "gold_evictions", out.gold_evictions);
   any |= json_counter(obj, "run_reuses", out.run_reuses);
   any |= json_counter(obj, "decode_cache_hits", out.decode_cache_hits);
   any |= json_counter(obj, "jit_bailouts", out.jit_bailouts);

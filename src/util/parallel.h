@@ -115,17 +115,16 @@ struct CampaignStats {
   /// Periodic checkpoint flushes that failed (ENOSPC, injected fault, ...)
   /// and were deferred to the next flush instead of aborting the campaign.
   std::size_t flush_failures = 0;
-  // Hot-path counters (results are unaffected: cached words and reused
-  // gold snapshots are bit-identical to recomputation).
+  // Hot-path counters (results are unaffected: cached words are
+  // bit-identical to recomputation).
   /// Bus transfers answered from a transition memo instead of re-evaluated.
   std::uint64_t cache_hits = 0;
   /// Bus transfers that missed the memo and ran the analytic fast path.
   std::uint64_t cache_misses = 0;
-  /// Gold runs answered from the process-wide snapshot memo.
+  /// Always 0: every campaign call runs its gold program once (the
+  /// gold-run memo was removed, DESIGN.md D15).  Kept so stats consumers
+  /// that read the field keep working.
   std::size_t gold_reuses = 0;
-  /// Gold snapshots evicted by the memo's LRU entry cap during this
-  /// campaign's stores (process-wide memo, so sweeps accumulate).
-  std::size_t gold_evictions = 0;
   /// Always 0: every defect run is simulated (the whole-run memo was
   /// removed with the accelerated execution tiers, DESIGN.md D13).  Kept
   /// so stats consumers that read the field keep working.

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -111,7 +113,8 @@ TEST(Cli, CampaignReportsHotPathCounters) {
   EXPECT_NE(r.out.find("cache_hits="), std::string::npos) << r.out;
   EXPECT_EQ(r.out.find("cache_hits=0 "), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("cache_hit_rate="), std::string::npos);
-  EXPECT_NE(r.out.find("gold_reuses="), std::string::npos);
+  // The gold-run memo is gone, so the line no longer reports its reuses.
+  EXPECT_EQ(r.out.find("gold_reuses="), std::string::npos) << r.out;
   // --stats-json appends the machine-readable record.
   EXPECT_NE(r.out.find("{\"campaign\":\"campaign\""), std::string::npos);
   EXPECT_NE(r.out.find("\"cache_hits\":"), std::string::npos);
@@ -220,6 +223,17 @@ TEST(Cli, ChaosSoakSmokeRunPasses) {
   ASSERT_EQ(r.code, 0) << r.err << r.out;
   EXPECT_NE(r.out.find("verdicts identical"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("chaos soak passed"), std::string::npos) << r.out;
+}
+
+TEST(Cli, OnlineChaosSoakSmokeRunPasses) {
+  const CliRun r = run_cli({"chaos", "--scenario", "online-baseline",
+                            "--defects", "6", "--cycles", "4", "--threads",
+                            "2"});
+  ASSERT_EQ(r.code, 0) << r.err << r.out;
+  EXPECT_NE(r.out.find("chaos online bus="), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("outcomes identical"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("online chaos soak passed"), std::string::npos)
+      << r.out;
 }
 
 TEST(Cli, CampaignCheckpointResumesAndReportsRestored) {
@@ -449,17 +463,22 @@ TEST(Cli, ChaosSoakExercisesTheBatchedPathAtANonDivisorBatchSize) {
 }
 
 TEST(Cli, OldScenarioWithBatchKeysRunsAndDumpsWithoutThem) {
-  // A scenario written when the batched pre-screen existed: its two keys
-  // parse and are ignored, with or without the retired flags, and a
-  // re-dump drops them with one stderr note per key.
+  // A scenario written when the batched pre-screen and the gold-run memo
+  // existed: their four keys parse and are ignored, with or without the
+  // retired flags, and a re-dump drops them with one stderr note per key.
+  const std::vector<std::string> keys = {
+      "campaign.batched", "campaign.batch_size", "campaign.reuse_gold",
+      "campaign.gold_cache_capacity"};
   const CliRun dump = run_cli({"scenarios", "--dump", "paper-baseline"});
   ASSERT_EQ(dump.code, 0) << dump.err;
-  EXPECT_EQ(dump.out.find("campaign.batch"), std::string::npos) << dump.out;
+  for (const std::string& key : keys)
+    EXPECT_EQ(dump.out.find(key), std::string::npos) << dump.out;
   EXPECT_EQ(dump.err, "");
   const std::string path = temp_path("batched.scn");
   {
     std::ofstream f(path);
-    f << dump.out << "campaign.batched = true\ncampaign.batch_size = 7\n";
+    f << dump.out << "campaign.batched = true\ncampaign.batch_size = 7\n"
+      << "campaign.reuse_gold = false\ncampaign.gold_cache_capacity = 1\n";
   }
   const std::vector<std::string> small = {"--defects", "16", "--threads",
                                           "2"};
@@ -484,12 +503,37 @@ TEST(Cli, OldScenarioWithBatchKeysRunsAndDumpsWithoutThem) {
   const CliRun redump = run_cli({"scenarios", "--dump", path});
   ASSERT_EQ(redump.code, 0) << redump.err;
   EXPECT_EQ(redump.out, dump.out);
-  for (const std::string key : {"'campaign.batched'", "'campaign.batch_size'"}) {
-    const std::size_t at = redump.err.find(key);
+  for (const std::string& key : keys) {
+    const std::size_t at = redump.err.find("'" + key + "'");
     EXPECT_NE(at, std::string::npos) << redump.err;
-    EXPECT_EQ(redump.err.find(key, at + 1), std::string::npos) << redump.err;
+    EXPECT_EQ(redump.err.find("'" + key + "'", at + 1), std::string::npos)
+        << redump.err;
   }
   std::remove(path.c_str());
+}
+
+TEST(Cli, CheckedInScenarioFilesMatchTheBuiltins) {
+  // examples/scenarios holds one file per built-in, each byte-identical to
+  // `scenarios --dump NAME`: a built-in changed without regenerating its
+  // file fails here.
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(XTEST_SOURCE_DIR) + "/examples/scenarios")) {
+    if (entry.path().extension() != ".scn") continue;
+    const std::string name = entry.path().stem().string();
+    files.insert(name);
+    std::ifstream f(entry.path(), std::ios::binary);
+    std::ostringstream text;
+    text << f.rdbuf();
+    const CliRun dump = run_cli({"scenarios", "--dump", name});
+    ASSERT_EQ(dump.code, 0) << name << ": " << dump.err;
+    EXPECT_EQ(text.str(), dump.out) << name << ".scn is stale";
+  }
+  const CliRun list = run_cli({"scenarios"});
+  ASSERT_EQ(list.code, 0) << list.err;
+  for (const std::string& name : files)
+    EXPECT_NE(list.out.find(name), std::string::npos) << name;
+  EXPECT_GE(files.size(), 8u);
 }
 
 TEST(Cli, ScenariosDumpRoundTripsTheExecTierKey) {

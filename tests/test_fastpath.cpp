@@ -1,6 +1,6 @@
 // Equivalence and unit tests for the hot-path machinery: the precomputed
 // BusEvaluator must be bit-identical to CrosstalkErrorModel::receive, the
-// TransitionCache and GoldRunCache must never change a verdict, and every
+// TransitionCache must never change a verdict, and every
 // invalidation edge (defect injection, clear, forced MAF) must keep the
 // fast system in lockstep with the reference evaluation path.
 
@@ -14,7 +14,6 @@
 
 #include "sbst/generator.h"
 #include "sim/campaign.h"
-#include "sim/gold_cache.h"
 #include "soc/bus.h"
 #include "soc/system.h"
 #include "xtalk/defect.h"
@@ -321,125 +320,16 @@ TEST(FastPath, PerDefectSwapMatchesAFreshSystemOnEveryBus) {
   EXPECT_EQ(traffic(reused), nominal);
 }
 
-TEST(GoldCache, KeyCoversConfigAndProgramButNotPerfKnobs) {
-  const auto prog =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-  const soc::SystemConfig base;
-  EXPECT_EQ(sim::gold_run_key(base, prog.program, 1'000'000),
-            sim::gold_run_key(base, prog.program, 1'000'000));
-  soc::SystemConfig electrical = base;
-  electrical.cth_ratio = 1.7;
-  EXPECT_NE(sim::gold_run_key(base, prog.program, 1'000'000),
-            sim::gold_run_key(electrical, prog.program, 1'000'000));
-  soc::SystemConfig slow = base;
-  slow.clock_period_scale = 3.0;
-  EXPECT_NE(sim::gold_run_key(base, prog.program, 1'000'000),
-            sim::gold_run_key(slow, prog.program, 1'000'000));
-  EXPECT_NE(sim::gold_run_key(base, prog.program, 1'000'000),
-            sim::gold_run_key(base, prog.program, 2'000'000));
-  // Both evaluation paths produce the same gold run, so the knobs are
-  // deliberately outside the key and the memo is shared across them.
-  soc::SystemConfig knobs = base;
-  knobs.fast_receive = false;
-  knobs.transition_cache = false;
-  EXPECT_EQ(sim::gold_run_key(base, prog.program, 1'000'000),
-            sim::gold_run_key(knobs, prog.program, 1'000'000));
-}
-
-TEST(GoldCache, ReuseProducesIdenticalVerdicts) {
-  sim::GoldRunCache::global().clear();
-  const soc::SystemConfig cfg;
-  const auto prog =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-  const auto lib = sim::make_defect_library(cfg, soc::BusKind::kData, 8, 123);
-
-  util::CampaignStats stats1;
-  sim::CampaignOptions o1;
-  o1.stats = &stats1;
-  const auto first =
-      sim::run_detection(cfg, prog.program, soc::BusKind::kData, lib, o1);
-  EXPECT_EQ(stats1.gold_reuses, 0u);  // cold memo: gold was simulated
-  EXPECT_EQ(sim::GoldRunCache::global().size(), 1u);
-
-  util::CampaignStats stats2;
-  sim::CampaignOptions o2;
-  o2.stats = &stats2;
-  const auto second =
-      sim::run_detection(cfg, prog.program, soc::BusKind::kData, lib, o2);
-  EXPECT_EQ(stats2.gold_reuses, 1u);
-  EXPECT_EQ(first, second);
-
-  util::CampaignStats stats3;
-  sim::CampaignOptions o3;
-  o3.stats = &stats3;
-  o3.reuse_gold = false;
-  const auto third =
-      sim::run_detection(cfg, prog.program, soc::BusKind::kData, lib, o3);
-  EXPECT_EQ(stats3.gold_reuses, 0u);
-  EXPECT_EQ(first, third);
-}
-
-TEST(GoldCache, CapacityBoundsEntriesWithLruEviction) {
-  auto& cache = sim::GoldRunCache::global();
-  cache.clear();
-  cache.set_capacity(3);
-  EXPECT_EQ(cache.capacity(), 3u);
-
-  auto snap = [](std::uint8_t v) {
-    sim::ResponseSnapshot s;
-    s.values = {v};
-    s.completed = true;
-    return s;
-  };
-  EXPECT_EQ(cache.store(1, snap(1)), 0u);
-  EXPECT_EQ(cache.store(2, snap(2)), 0u);
-  EXPECT_EQ(cache.store(3, snap(3)), 0u);
-  EXPECT_EQ(cache.size(), 3u);
-
-  // Touch key 1 so key 2 becomes the least recently used.
-  sim::ResponseSnapshot out;
-  EXPECT_TRUE(cache.find(1, out));
-  EXPECT_EQ(cache.store(4, snap(4)), 1u);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.find(2, out));  // the LRU entry was evicted
-  EXPECT_TRUE(cache.find(1, out));
-  EXPECT_EQ(out.values, std::vector<std::uint8_t>{1});
-  EXPECT_TRUE(cache.find(3, out));
-  EXPECT_TRUE(cache.find(4, out));
-
-  // Re-storing an existing key never evicts a different entry.
-  EXPECT_EQ(cache.store(4, snap(44)), 0u);
-  EXPECT_EQ(cache.size(), 3u);
-
-  // Shrinking evicts immediately, oldest first.
-  cache.set_capacity(1);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.evictions(), 3u);
-  EXPECT_TRUE(cache.find(4, out));  // most recently used survives
-  EXPECT_EQ(out.values, std::vector<std::uint8_t>{44});
-
-  cache.set_capacity(0);  // clamped to 1: a cap of 0 would disable reuse
-  EXPECT_EQ(cache.capacity(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  cache.clear();
-  EXPECT_EQ(cache.evictions(), 0u);
-  cache.set_capacity(256);  // restore the default for later tests
-}
-
 TEST(CampaignStats, JsonCarriesHotPathCounters) {
   util::CampaignStats stats;
   stats.cache_hits = 30;
   stats.cache_misses = 10;
   stats.gold_reuses = 2;
-  stats.gold_evictions = 3;
   const std::string j = stats.json("hotpath");
   EXPECT_NE(j.find("\"cache_hits\":30"), std::string::npos) << j;
   EXPECT_NE(j.find("\"cache_misses\":10"), std::string::npos) << j;
   EXPECT_NE(j.find("\"cache_hit_rate\":0.7500"), std::string::npos) << j;
   EXPECT_NE(j.find("\"gold_reuses\":2"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"gold_evictions\":3"), std::string::npos) << j;
   // Environment provenance: worker count, the machine's concurrency, and
   // the build type all land in the record.
   EXPECT_NE(j.find("\"hardware_concurrency\":"), std::string::npos) << j;

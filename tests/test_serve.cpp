@@ -26,6 +26,7 @@
 #include "serve/server.h"
 #include "sim/campaign.h"
 #include "spec/scenario.h"
+#include "util/crc32.h"
 #include "util/fault_injector.h"
 #include "util/net.h"
 #include "util/parallel.h"
@@ -360,6 +361,31 @@ TEST(JobQueue, TornTailKeepsValidPrefix) {
     for (const Job& j : q2.jobs())
       EXPECT_TRUE(j.scenario == "job-one" || j.scenario == "job-two");
   }
+  std::remove(path.c_str());
+}
+
+TEST(JobQueue, WrappingPayloadLengthsAreATornRecord) {
+  // A CRC-valid record whose four lengths sum, modulo 2^64, to the one
+  // byte it carries: the loader must see that the first length alone
+  // overruns the file and drop the record instead of loading a job whose
+  // scenario swallows the rest of the file.
+  const std::string path = temp_file("queue_wrap");
+  std::remove(path.c_str());
+  {
+    JobQueue q(path);
+    q.enqueue("job-one", 5);
+  }
+  const std::string record =
+      "job 2 5 0 0 0 0 18446744073709551615 2 0 0\nX\n";
+  {
+    std::ofstream out(path, std::ios::app | std::ios::binary);
+    out << record << util::crc_line(record) << '\n';
+  }
+  JobQueue q2(path);
+  EXPECT_EQ(q2.load(), 1u);
+  EXPECT_EQ(q2.salvage_dropped(), 1u);
+  ASSERT_EQ(q2.jobs().size(), 1u);
+  EXPECT_EQ(q2.jobs()[0].scenario, "job-one");
   std::remove(path.c_str());
 }
 
@@ -727,7 +753,6 @@ TEST(StatsJson, FuzzRoundTripProperty) {
     st.cache_hits = rng.below(1u << 20);
     st.cache_misses = rng.below(1u << 20);
     st.gold_reuses = rng.below(1000);
-    st.gold_evictions = rng.below(1000);
     util::CampaignStats back;
     ASSERT_TRUE(util::parse_stats_json(st.json("fuzz"), back));
     EXPECT_EQ(back.defects_simulated, st.defects_simulated);
@@ -739,7 +764,6 @@ TEST(StatsJson, FuzzRoundTripProperty) {
     EXPECT_EQ(back.cache_hits, st.cache_hits);
     EXPECT_EQ(back.cache_misses, st.cache_misses);
     EXPECT_EQ(back.gold_reuses, st.gold_reuses);
-    EXPECT_EQ(back.gold_evictions, st.gold_evictions);
   }
 }
 

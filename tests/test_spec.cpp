@@ -83,10 +83,8 @@ ScenarioSpec random_spec(util::Rng& rng) {
   s.cycle_factor = 1 + rng.below(64);
   s.threads = static_cast<unsigned>(rng.below(16));
   s.retry_errors = rng.below(2) == 0;
-  s.reuse_gold = rng.below(2) == 0;
   s.checkpoint_every = 1 + rng.below(256);
   s.defect_deadline_ms = rng.below(100000);
-  s.gold_cache_capacity = 1 + rng.below(1024);
   s.compare_bist = rng.below(2) == 0;
   s.workers = rng.below(5);
   s.system.electrical.backend =
@@ -245,14 +243,18 @@ TEST(ScenarioSpec, RetiredKeysParseAreIgnoredAndNeverSerialize) {
   // jobs), with any value, and are reported to the caller; the spec is
   // the one without them, and no dump writes them back.
   const std::string text = "defects = 7\ncampaign.batched = false\n"
-                           "campaign.batch_size = whatever\n";
+                           "campaign.batch_size = whatever\n"
+                           "campaign.reuse_gold = false\n"
+                           "campaign.gold_cache_capacity = 3\n";
   std::vector<RetiredKey> retired;
   ScenarioSpec expected;
   expected.defect_count = 7;
   EXPECT_EQ(parse_scenario(text, &retired), expected);
-  ASSERT_EQ(retired.size(), 2u);
+  ASSERT_EQ(retired.size(), 4u);
   EXPECT_EQ(std::string(retired[0].key), "campaign.batched");
   EXPECT_EQ(std::string(retired[1].key), "campaign.batch_size");
+  EXPECT_EQ(std::string(retired[2].key), "campaign.reuse_gold");
+  EXPECT_EQ(std::string(retired[3].key), "campaign.gold_cache_capacity");
   EXPECT_EQ(parse_scenario(text), expected);  // the report is optional
   for (const RetiredKey& r : retired_keys()) {
     EXPECT_NE(std::string(r.why), "");
@@ -371,7 +373,6 @@ TEST(ScenarioSpec, CampaignOptionsCarryTheSpecFields) {
   s.cycle_factor = 9;
   s.threads = 3;
   s.retry_errors = false;
-  s.reuse_gold = false;
   s.checkpoint_every = 5;
   s.defect_deadline_ms = 1234;
   util::CampaignStats stats;
@@ -379,7 +380,6 @@ TEST(ScenarioSpec, CampaignOptionsCarryTheSpecFields) {
   EXPECT_EQ(o.cycle_factor, 9ull);
   EXPECT_EQ(o.parallel.threads, 3u);
   EXPECT_FALSE(o.retry_errors);
-  EXPECT_FALSE(o.reuse_gold);
   EXPECT_EQ(o.checkpoint_every, 5u);
   EXPECT_EQ(o.defect_deadline_ms, 1234ull);
   EXPECT_EQ(o.stats, &stats);

@@ -265,7 +265,6 @@ TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
   st.cache_hits = 1000;
   st.cache_misses = 50;
   st.gold_reuses = 6;
-  st.gold_evictions = 2;
 
   util::CampaignStats got;
   ASSERT_TRUE(util::parse_stats_json(st.json("roundtrip"), got));
@@ -285,7 +284,6 @@ TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
   EXPECT_EQ(got.cache_hits, st.cache_hits);
   EXPECT_EQ(got.cache_misses, st.cache_misses);
   EXPECT_EQ(got.gold_reuses, st.gold_reuses);
-  EXPECT_EQ(got.gold_evictions, st.gold_evictions);
   // The retired screen's fields are gone from the line.
   EXPECT_EQ(st.json("roundtrip").find("batch"), std::string::npos);
   EXPECT_EQ(st.json("roundtrip").find("screen"), std::string::npos);

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -477,8 +478,7 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 "retries=%zu restored=%zu salvaged=%zu dropped=%zu\n"
                 "threads=%u simulations=%zu cycles=%llu wall=%.3fs "
                 "library=%.3fs defects/sec=%.0f\n"
-                "cache_hits=%llu cache_misses=%llu cache_hit_rate=%.1f%% "
-                "gold_reuses=%zu\n",
+                "cache_hits=%llu cache_misses=%llu cache_hit_rate=%.1f%%\n",
                 vc.detected, vc.detected_by_timeout, vc.undetected,
                 vc.sim_errors, stats.retries, stats.restored_from_checkpoint,
                 stats.salvaged_sections, stats.dropped_slots, stats.threads,
@@ -488,7 +488,7 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 stats.defects_per_second(),
                 static_cast<unsigned long long>(stats.cache_hits),
                 static_cast<unsigned long long>(stats.cache_misses),
-                100.0 * stats.cache_hit_rate(), stats.gold_reuses);
+                100.0 * stats.cache_hit_rate());
   out << buf;
 }
 
@@ -789,6 +789,84 @@ struct ChaosOutcome {
   std::size_t completions = 0;
 };
 
+/// Disarms the process-wide fault injector however the soak exits.
+struct DisarmOnExit {
+  ~DisarmOnExit() { util::FaultInjector::global().disarm(); }
+};
+
+/// Buses a chaos soak sweeps: --bus picks one, a scenario pins the soak to
+/// its own bus, and flag-only invocations sweep all three.
+std::vector<soc::BusKind> chaos_buses(const Parsed& p,
+                                      const spec::ScenarioSpec& scn) {
+  if (p.options.count("bus")) return {parse_bus(p.options.at("bus"))};
+  if (p.options.count("scenario")) return {scn.bus};
+  return {soc::BusKind::kAddress, soc::BusKind::kData,
+          soc::BusKind::kControl};
+}
+
+/// The soak's --cycles budget, `fallback` when the flag is absent.
+std::size_t chaos_cycles(const Parsed& p, std::size_t fallback) {
+  return p.options.count("cycles")
+             ? static_cast<std::size_t>(
+                   parse_u64("cycles", p.options.at("cycles")))
+             : fallback;
+}
+
+/// One in-process kill/resume chain on the checkpoint `ckpt`.  `run()`
+/// runs the campaign once against it and returns whether the result equals
+/// the uninterrupted reference (it throws sim::CampaignInterrupted when
+/// killed).  The chain kills `cycles` times at injector-chosen records,
+/// each a graceful cancel or a simulated hard crash, truncating the
+/// checkpoint at a random byte every third kill; then it drains with no
+/// kill.  On a mismatch it prints which `what` diverged at `where` and
+/// returns nullopt.
+std::optional<ChaosOutcome> kill_resume_chain(
+    const std::function<bool()>& run, const std::string& ckpt,
+    std::size_t cycles, std::size_t total_slots, util::Rng& rng,
+    const std::string& what, const std::string& where, std::ostream& err) {
+  util::FaultInjector& inj = util::FaultInjector::global();
+  const auto diverged = [&](const char* how) {
+    err << "error: chaos: " << how << ' ' << what
+        << " diverged from the uninterrupted reference (" << where << ")\n";
+    return std::nullopt;
+  };
+  std::remove(ckpt.c_str());
+  ChaosOutcome oc;
+  while (oc.kills < cycles) {
+    // Kill at an injector-chosen record; past the remaining work the
+    // campaign simply completes (verified and restarted from empty).
+    const std::uint64_t at = 1 + rng.below(total_slots);
+    const bool hard = rng.below(2) == 0;
+    inj.configure((hard ? "campaign.crash@" : "campaign.kill@") +
+                  std::to_string(at) + ":" +
+                  std::to_string(rng.below(1u << 30)));
+    try {
+      const bool same = run();
+      inj.disarm();
+      if (!same) return diverged("completed");
+      ++oc.completions;
+      std::remove(ckpt.c_str());  // start a fresh kill chain
+    } catch (const sim::CampaignInterrupted&) {
+      if (interrupt_flag().load()) throw;  // the operator, not us
+      ++oc.kills;
+      oc.crashes += hard;
+      if (oc.kills % 3 == 0) {
+        std::error_code ec;
+        const auto size = std::filesystem::file_size(ckpt, ec);
+        if (!ec && size > 0) {
+          std::filesystem::resize_file(ckpt, rng.below(size), ec);
+          if (!ec) ++oc.truncations;
+        }
+      }
+    }
+  }
+  // Drain: no more kills, the chain must finish and match.
+  inj.disarm();
+  if (!run()) return diverged("resumed");
+  std::remove(ckpt.c_str());
+  return oc;
+}
+
 /// Worker-kill soak (`chaos --workers N`): runs the campaign supervised,
 /// SIGKILLing random worker processes on a steady cadence, and requires
 /// the merged verdicts to be bitwise equal to the uninterrupted
@@ -796,9 +874,9 @@ struct ChaosOutcome {
 /// --faults forwards a spec to the supervisor (supervisor.spawn,
 /// supervisor.heartbeat) and every worker (worker.exit, checkpoint.*).
 int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
-  const bool has_scenario = p.options.count("scenario") != 0;
   spec::ScenarioSpec scn = base_scenario(p);
-  if (!has_scenario) scn.defect_count = 12;  // chaos's own small default
+  if (p.options.count("scenario") == 0)
+    scn.defect_count = 12;  // chaos's own small default
   apply_overrides(p, scn);
   if (scn.workers == 0)
     throw UsageError("chaos: --workers must be at least 1");
@@ -808,26 +886,13 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
   if (scn.threads == 0) scn.threads = 2;
   scn.validate();
 
-  const std::size_t kill_budget =
-      p.options.count("cycles")
-          ? static_cast<std::size_t>(
-                parse_u64("cycles", p.options.at("cycles")))
-          : 12;
+  const std::size_t kill_budget = chaos_cycles(p, 12);
   const std::string fault_spec =
       p.options.count("faults") ? p.options.at("faults") : "";
-
-  std::vector<soc::BusKind> buses = {soc::BusKind::kAddress,
-                                     soc::BusKind::kData,
-                                     soc::BusKind::kControl};
-  if (p.options.count("bus"))
-    buses = {parse_bus(p.options.at("bus"))};
-  else if (has_scenario)
-    buses = {scn.bus};
+  const std::vector<soc::BusKind> buses = chaos_buses(p, scn);
 
   util::FaultInjector& inj = util::FaultInjector::global();
-  struct Disarm {
-    ~Disarm() { util::FaultInjector::global().disarm(); }
-  } disarm_on_exit;
+  DisarmOnExit disarm_on_exit;
 
   std::size_t total_kills = 0;
   std::size_t total_respawns = 0;
@@ -1062,9 +1127,8 @@ int cmd_chaos_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
   if (binary.empty())
     throw IoError("cannot resolve own executable path to spawn the daemon");
 
-  const bool has_scenario = p.options.count("scenario") != 0;
   spec::ScenarioSpec scn = base_scenario(p);
-  if (!has_scenario) {
+  if (p.options.count("scenario") == 0) {
     scn.defect_count = 10;
     scn.multi_session = false;
     scn.threads = 1;
@@ -1072,14 +1136,7 @@ int cmd_chaos_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
   apply_overrides(p, scn);
   scn.workers = scn.workers == 0 ? 2 : scn.workers;
   scn.validate();
-
-  std::vector<soc::BusKind> buses = {soc::BusKind::kAddress,
-                                     soc::BusKind::kData,
-                                     soc::BusKind::kControl};
-  if (p.options.count("bus"))
-    buses = {parse_bus(p.options.at("bus"))};
-  else if (has_scenario)
-    buses = {scn.bus};
+  const std::vector<soc::BusKind> buses = chaos_buses(p, scn);
 
   // One scenario (and one in-process reference, injector disarmed) per
   // bus; three by default -- the daemon must retire all of them.
@@ -1222,18 +1279,11 @@ int cmd_chaos_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
 /// counters -- bitwise identical to an uninterrupted run.
 int cmd_chaos_online(const Parsed& p, const spec::ScenarioSpec& scn,
                      std::ostream& out, std::ostream& err) {
-  const std::size_t cycles =
-      p.options.count("cycles")
-          ? static_cast<std::size_t>(
-                parse_u64("cycles", p.options.at("cycles")))
-          : 8;
+  const std::size_t cycles = chaos_cycles(p, 8);
   std::vector<unsigned> thread_counts = {1, 4};
   if (scn.threads != 0) thread_counts = {scn.threads};
 
-  util::FaultInjector& inj = util::FaultInjector::global();
-  struct Disarm {
-    ~Disarm() { util::FaultInjector::global().disarm(); }
-  } disarm_on_exit;
+  DisarmOnExit disarm_on_exit;
 
   const auto sessions = scn.make_sessions();
   std::size_t live_sessions = 0;
@@ -1244,7 +1294,7 @@ int cmd_chaos_online(const Parsed& p, const spec::ScenarioSpec& scn,
   util::Rng rng(scn.seed ^ 0x0417EEull);
   util::CampaignStats stats;
 
-  inj.disarm();
+  util::FaultInjector::global().disarm();
   sim::CampaignOptions ref_opts = scn.campaign_options(&stats);
   ref_opts.parallel = {1};
   const sim::OnlineResult reference = sim::run_online_detection_sessions(
@@ -1255,8 +1305,6 @@ int cmd_chaos_online(const Parsed& p, const spec::ScenarioSpec& scn,
                               ("xtest_ochaos_" + soc::to_string(scn.bus) +
                                "_t" + std::to_string(threads) + ".ckpt"))
                                  .string();
-    std::remove(ckpt.c_str());
-
     sim::CampaignOptions opts = scn.campaign_options(&stats);
     opts.parallel = {threads};
     opts.cancel = &interrupt_flag();
@@ -1265,59 +1313,23 @@ int cmd_chaos_online(const Parsed& p, const spec::ScenarioSpec& scn,
         scn.bus, lib, scn.online, scn.system.electrical);
     opts.checkpoint_every = 2;  // small, so a hard crash loses little
 
-    ChaosOutcome oc;
-    while (oc.kills < cycles) {
-      const std::uint64_t at = 1 + rng.below(total_slots);
-      const bool hard = rng.below(2) == 0;
-      inj.configure((hard ? "campaign.crash@" : "campaign.kill@") +
-                    std::to_string(at) + ":" +
-                    std::to_string(rng.below(1u << 30)));
-      try {
-        const sim::OnlineResult det = sim::run_online_detection_sessions(
-            scn.system, scn.online, sessions, scn.bus, lib, opts);
-        inj.disarm();
-        if (det.verdicts != reference.verdicts ||
-            det.outcomes != reference.outcomes) {
-          err << "error: chaos: completed on-line campaign diverged from "
-                 "the uninterrupted reference (threads="
-              << threads << ")\n";
-          return kExitSim;
-        }
-        ++oc.completions;
-        std::remove(ckpt.c_str());  // start a fresh kill chain
-      } catch (const sim::CampaignInterrupted&) {
-        if (interrupt_flag().load()) throw;  // the operator, not us
-        ++oc.kills;
-        oc.crashes += hard;
-        if (oc.kills % 3 == 0) {
-          std::error_code ec;
-          const auto size = std::filesystem::file_size(ckpt, ec);
-          if (!ec && size > 0) {
-            std::filesystem::resize_file(ckpt, rng.below(size), ec);
-            if (!ec) ++oc.truncations;
-          }
-        }
-      }
-    }
-
-    inj.disarm();
-    const sim::OnlineResult finished = sim::run_online_detection_sessions(
-        scn.system, scn.online, sessions, scn.bus, lib, opts);
-    if (finished.verdicts != reference.verdicts ||
-        finished.outcomes != reference.outcomes) {
-      err << "error: chaos: resumed on-line campaign diverged from the "
-             "uninterrupted reference (threads="
-          << threads << ")\n";
-      return kExitSim;
-    }
-    std::remove(ckpt.c_str());
+    const std::optional<ChaosOutcome> oc = kill_resume_chain(
+        [&] {
+          const sim::OnlineResult r = sim::run_online_detection_sessions(
+              scn.system, scn.online, sessions, scn.bus, lib, opts);
+          return r.verdicts == reference.verdicts &&
+                 r.outcomes == reference.outcomes;
+        },
+        ckpt, cycles, total_slots, rng, "on-line campaign",
+        "threads=" + std::to_string(threads), err);
+    if (!oc) return kExitSim;
     char buf[256];
     std::snprintf(buf, sizeof buf,
                   "chaos online bus=%s threads=%u: %zu kills (%zu hard), "
                   "%zu truncations, %zu clean completions, outcomes "
                   "identical\n",
-                  soc::to_string(scn.bus).c_str(), threads, oc.kills,
-                  oc.crashes, oc.truncations, oc.completions);
+                  soc::to_string(scn.bus).c_str(), threads, oc->kills,
+                  oc->crashes, oc->truncations, oc->completions);
     out << buf;
   }
   char buf[256];
@@ -1337,51 +1349,34 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
     throw UsageError(
         "chaos: --faults requires --workers (the in-process soak drives "
         "the injector itself)");
-  const bool has_scenario = p.options.count("scenario") != 0;
   spec::ScenarioSpec scn = base_scenario(p);
-  if (!has_scenario) scn.defect_count = 12;  // chaos's own small default
+  if (p.options.count("scenario") == 0)
+    scn.defect_count = 12;  // chaos's own small default
   apply_overrides(p, scn);
   scn.validate();
   if (scn.online.enabled) return cmd_chaos_online(p, scn, out, err);
 
-  // A scenario pins the soak to its own bus; flag-only invocations keep
-  // sweeping all three.
-  std::vector<soc::BusKind> buses = {soc::BusKind::kAddress,
-                                     soc::BusKind::kData,
-                                     soc::BusKind::kControl};
-  if (p.options.count("bus"))
-    buses = {parse_bus(p.options.at("bus"))};
-  else if (has_scenario)
-    buses = {scn.bus};
-  const std::size_t defects = scn.defect_count;
-  const std::uint64_t seed = scn.seed;
-  const std::size_t cycles =
-      p.options.count("cycles")
-          ? static_cast<std::size_t>(
-                parse_u64("cycles", p.options.at("cycles")))
-          : 20;
+  const std::vector<soc::BusKind> buses = chaos_buses(p, scn);
+  const std::size_t cycles = chaos_cycles(p, 20);
   std::vector<unsigned> thread_counts = {1, 4};
   if (scn.threads != 0) thread_counts = {scn.threads};
 
-  util::FaultInjector& inj = util::FaultInjector::global();
-  struct Disarm {
-    ~Disarm() { util::FaultInjector::global().disarm(); }
-  } disarm_on_exit;
+  DisarmOnExit disarm_on_exit;
 
   const soc::SystemConfig& cfg = scn.system;
   const auto sessions = scn.make_sessions();
   std::size_t live_sessions = 0;
   for (const auto& s : sessions) live_sessions += !s.program.tests.empty();
 
-  util::Rng rng(seed ^ 0xC4A05ull);
+  util::Rng rng(scn.seed ^ 0xC4A05ull);
   util::CampaignStats stats;
 
   for (const soc::BusKind bus : buses) {
     const auto lib =
-        sim::make_defect_library(cfg, bus, defects, seed, scn.sigma_pct,
-                                 {scn.threads});
+        sim::make_defect_library(cfg, bus, scn.defect_count, scn.seed,
+                                 scn.sigma_pct, {scn.threads});
     const std::size_t total_slots = live_sessions * lib.size();
-    inj.disarm();
+    util::FaultInjector::global().disarm();
     const std::vector<sim::Verdict> reference = sim::run_detection_sessions(
         cfg, sessions, bus, lib, scn.cycle_factor, {1});
 
@@ -1391,8 +1386,6 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
            ("xtest_chaos_" + soc::to_string(bus) + "_t" +
             std::to_string(threads) + ".ckpt"))
               .string();
-      std::remove(ckpt.c_str());
-
       sim::CampaignOptions opts = scn.campaign_options(&stats);
       opts.parallel = {threads};
       opts.cancel = &interrupt_flag();
@@ -1400,61 +1393,21 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
       opts.checkpoint_key = sim::default_checkpoint_key(bus, lib);
       opts.checkpoint_every = 3;  // small, so a hard crash loses little
 
-      ChaosOutcome oc;
-      while (oc.kills < cycles) {
-        // Kill at an injector-chosen record; past the remaining work the
-        // campaign simply completes (verified and restarted from empty).
-        const std::uint64_t at = 1 + rng.below(total_slots);
-        const bool hard = rng.below(2) == 0;
-        inj.configure((hard ? "campaign.crash@" : "campaign.kill@") +
-                      std::to_string(at) + ":" +
-                      std::to_string(rng.below(1u << 30)));
-        try {
-          const std::vector<sim::Verdict> det =
-              sim::run_detection_sessions(cfg, sessions, bus, lib, opts);
-          inj.disarm();
-          if (det != reference) {
-            err << "error: chaos: completed campaign diverged from the "
-                   "uninterrupted reference (bus="
-                << soc::to_string(bus) << " threads=" << threads << ")\n";
-            return kExitSim;
-          }
-          ++oc.completions;
-          std::remove(ckpt.c_str());  // start a fresh kill chain
-        } catch (const sim::CampaignInterrupted&) {
-          if (interrupt_flag().load()) throw;  // the operator, not us
-          ++oc.kills;
-          oc.crashes += hard;
-          // Every third kill also corrupts the checkpoint: truncate at a
-          // random byte so resume exercises the salvage path.
-          if (oc.kills % 3 == 0) {
-            std::error_code ec;
-            const auto size = std::filesystem::file_size(ckpt, ec);
-            if (!ec && size > 0) {
-              std::filesystem::resize_file(ckpt, rng.below(size), ec);
-              if (!ec) ++oc.truncations;
-            }
-          }
-        }
-      }
-
-      // Drain: no more kills, the chain must finish and match.
-      inj.disarm();
-      const std::vector<sim::Verdict> finished =
-          sim::run_detection_sessions(cfg, sessions, bus, lib, opts);
-      if (finished != reference) {
-        err << "error: chaos: resumed campaign diverged from the "
-               "uninterrupted reference (bus="
-            << soc::to_string(bus) << " threads=" << threads << ")\n";
-        return kExitSim;
-      }
-      std::remove(ckpt.c_str());
+      const std::optional<ChaosOutcome> oc = kill_resume_chain(
+          [&] {
+            return sim::run_detection_sessions(cfg, sessions, bus, lib,
+                                               opts) == reference;
+          },
+          ckpt, cycles, total_slots, rng, "campaign",
+          "bus=" + soc::to_string(bus) + " threads=" + std::to_string(threads),
+          err);
+      if (!oc) return kExitSim;
       char buf[256];
       std::snprintf(buf, sizeof buf,
                     "chaos bus=%s threads=%u: %zu kills (%zu hard), %zu "
                     "truncations, %zu clean completions, verdicts identical\n",
-                    soc::to_string(bus).c_str(), threads, oc.kills,
-                    oc.crashes, oc.truncations, oc.completions);
+                    soc::to_string(bus).c_str(), threads, oc->kills,
+                    oc->crashes, oc->truncations, oc->completions);
       out << buf;
     }
   }
