@@ -216,8 +216,8 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
   if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
   if (!interrupted) {
     // A sharded run tallies only the slots it owns, so per-shard verdict
-    // breakdowns sum to exactly the unsharded breakdown under
-    // merge_shard_results.
+    // breakdowns sum (CampaignStats::merge_from) to exactly the unsharded
+    // breakdown.
     std::vector<Verdict> owned;
     owned.reserve(shard.owned_of(n));
     for (std::size_t i = 0; i < n; ++i)
@@ -330,44 +330,6 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
   };
   mode.tally = [](const std::vector<Verdict>&, bool, util::CampaignStats&) {};
   return detail::run_campaign(config, n, options, mode);
-}
-
-std::vector<Verdict> merge_shard_results(const std::vector<ShardResult>& shards,
-                                         util::CampaignStats* stats) {
-  if (shards.empty())
-    throw std::invalid_argument("merge_shard_results: no shards");
-  const std::size_t count = shards.front().shard.count;
-  const std::size_t n = shards.front().verdicts.size();
-  if (shards.size() != count)
-    throw std::invalid_argument(
-        "merge_shard_results: got " + std::to_string(shards.size()) +
-        " shard result(s) for a " + std::to_string(count) + "-way split");
-  std::vector<std::uint8_t> seen(count, 0);
-  for (const ShardResult& s : shards) {
-    if (s.shard.count != count)
-      throw std::invalid_argument(
-          "merge_shard_results: shard " + std::to_string(s.shard.index) +
-          " was run as 1 of " + std::to_string(s.shard.count) +
-          ", not 1 of " + std::to_string(count));
-    if (s.shard.index >= count || seen[s.shard.index])
-      throw std::invalid_argument(
-          "merge_shard_results: shard index " +
-          std::to_string(s.shard.index) +
-          (s.shard.index >= count ? " out of range" : " appears twice"));
-    if (s.verdicts.size() != n)
-      throw std::invalid_argument(
-          "merge_shard_results: shard " + std::to_string(s.shard.index) +
-          " carries " + std::to_string(s.verdicts.size()) +
-          " verdict(s), expected " + std::to_string(n));
-    seen[s.shard.index] = 1;
-  }
-  std::vector<Verdict> merged(n, Verdict::kUndetected);
-  for (const ShardResult& s : shards) {
-    for (std::size_t i = s.shard.index; i < n; i += count)
-      merged[i] = s.verdicts[i];
-    if (stats != nullptr) stats->merge_from(s.stats);
-  }
-  return merged;
 }
 
 std::vector<Verdict> run_detection(const soc::SystemConfig& config,

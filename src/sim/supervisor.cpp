@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <ostream>
@@ -123,6 +124,12 @@ Supervisor::Supervisor(SupervisorJob job, SupervisorOptions options)
 std::string Supervisor::shard_checkpoint_path(const std::string& base,
                                               std::size_t shard) {
   return base + ".shard" + std::to_string(shard);
+}
+
+void Supervisor::remove_shard_checkpoints(const std::string& base,
+                                          std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k)
+    std::remove(shard_checkpoint_path(base, k).c_str());
 }
 
 SupervisorResult Supervisor::run() {

@@ -160,6 +160,9 @@ class Supervisor {
   /// shared with tests and docs.
   static std::string shard_checkpoint_path(const std::string& base,
                                            std::size_t shard);
+  /// Removes the checkpoints of shards 0..count-1 under `base`.
+  static void remove_shard_checkpoints(const std::string& base,
+                                       std::size_t count);
 
  private:
   SupervisorJob job_;

@@ -12,6 +12,7 @@
 #include "cpu/isa.h"
 #include "cpu/microcode.h"
 #include "soc/control.h"
+#include "util/subprocess.h"
 
 namespace xtest::spec {
 
@@ -462,6 +463,45 @@ sim::CampaignOptions ScenarioSpec::campaign_options(
   return opts;
 }
 
+std::string worker_binary() {
+  const char* env = std::getenv("XTEST_WORKER_BINARY");
+  std::string binary = env != nullptr && *env != '\0'
+                           ? env
+                           : util::current_executable();
+  if (binary.empty())
+    throw SpecIoError("cannot resolve the executable to spawn as a worker");
+  return binary;
+}
+
+SupervisedJob::~SupervisedJob() { std::remove(job_.scenario_path.c_str()); }
+
+SupervisedJob ScenarioSpec::supervisor_job(
+    const xtalk::DefectLibrary& lib,
+    const std::vector<sbst::GenerationResult>& sessions,
+    const std::string& checkpoint_base, const std::string& fault_spec) const {
+  sim::SupervisorJob job;
+  job.binary = worker_binary();
+  job.scenario_path = checkpoint_base + ".job.scn";
+  job.defect_count = lib.size();
+  for (std::size_t i = 0; i < sessions.size(); ++i)
+    if (!sessions[i].program.tests.empty())
+      job.sections.push_back("session" + std::to_string(i));
+  job.checkpoint_key = sim::default_checkpoint_key(bus, lib);
+  job.checkpoint_base = checkpoint_base;
+  job.fault_spec = fault_spec;
+
+  ScenarioSpec worker_spec = *this;
+  worker_spec.workers = 0;
+  std::ofstream out(job.scenario_path, std::ios::trunc);
+  out << serialize_scenario(worker_spec);
+  out.close();
+  if (!out) {
+    std::remove(job.scenario_path.c_str());
+    throw SpecIoError("cannot write " + job.scenario_path);
+  }
+  return SupervisedJob(std::move(job));
+}
+
 void ScenarioSpec::validate() const {
   const auto check_width = [](const char* which, unsigned got,
                               unsigned expected) {
@@ -500,6 +540,10 @@ void ScenarioSpec::validate() const {
                                 std::to_string(shard_index) +
                                 " out of range for " +
                                 std::to_string(shard_count) + " shard(s)");
+  if (workers > kMaxWorkers)
+    throw SpecParseError(0, "campaign.workers = " + std::to_string(workers) +
+                                " exceeds the limit of " +
+                                std::to_string(kMaxWorkers));
   if (workers > 0 && shard_count > 1)
     throw SpecParseError(
         0, "campaign.workers and campaign.shard are mutually exclusive (a "

@@ -32,10 +32,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sbst/generator.h"
 #include "sim/campaign.h"
+#include "sim/supervisor.h"
 #include "soc/online.h"
 #include "soc/system.h"
 #include "util/parallel.h"
@@ -60,6 +62,35 @@ struct SpecParseError : std::runtime_error {
 /// the CLI can keep its usage-vs-I/O exit-code split).
 struct SpecIoError : std::runtime_error {
   using std::runtime_error::runtime_error;
+};
+
+/// Most worker processes one supervised campaign may ask for
+/// (campaign.workers).  A served scenario comes from a client, so this
+/// also bounds what the daemon forks and which shard files it sweeps.
+inline constexpr std::size_t kMaxWorkers = 64;
+
+/// The executable a supervised run spawns as its workers (or the chaos
+/// soak as its daemon): $XTEST_WORKER_BINARY when set, so a test that
+/// embeds the CLI library can point at the real xtest binary, else this
+/// process's own executable.  SpecIoError when neither resolves.
+std::string worker_binary();
+
+/// A campaign in supervised form (DESIGN.md D16): the sim::SupervisorJob
+/// plus ownership of its worker scenario file `<checkpoint_base>.job.scn`,
+/// which the destructor removes -- after Supervisor::run returns or
+/// throws.  Only ScenarioSpec::supervisor_job makes one.
+class SupervisedJob {
+ public:
+  SupervisedJob(const SupervisedJob&) = delete;
+  SupervisedJob& operator=(const SupervisedJob&) = delete;
+  ~SupervisedJob();
+
+  const sim::SupervisorJob& job() const { return job_; }
+
+ private:
+  friend struct ScenarioSpec;
+  explicit SupervisedJob(sim::SupervisorJob job) : job_(std::move(job)) {}
+  sim::SupervisorJob job_;
 };
 
 /// One fully-described experiment.  Field defaults ARE the paper baseline:
@@ -106,8 +137,8 @@ struct ScenarioSpec {
   /// Multi-process execution (campaign.workers): when > 0 the CLI runs
   /// the campaign under a supervisor with this many crash-isolated worker
   /// processes, each owning shard k of `workers` and its own checkpoint;
-  /// 0 = in-process (the default).  Mutually exclusive with a non-trivial
-  /// `shard_count` -- a worker IS a shard.
+  /// 0 = in-process (the default), at most kMaxWorkers.  Mutually
+  /// exclusive with a non-trivial `shard_count` -- a worker IS a shard.
   std::size_t workers = 0;
   /// Shard of the defect library this campaign simulates
   /// (campaign.shard = "K/N", sim::ShardSpec): shard K owns every defect
@@ -138,6 +169,18 @@ struct ScenarioSpec {
   /// Campaign options carrying this scenario's scheduling/resilience
   /// fields.  Checkpointing stays per-run (CLI flag), not per-scenario.
   sim::CampaignOptions campaign_options(util::CampaignStats* stats) const;
+
+  /// The supervised job for this scenario's `lib` and `sessions`: one
+  /// checkpoint section per non-empty session, the default checkpoint
+  /// key, shard files under `checkpoint_base`, the worker binary, and
+  /// this spec with `workers` stripped (so a worker never spawns its
+  /// own) written to `<checkpoint_base>.job.scn`.  `fault_spec` travels
+  /// to every worker's --faults.  SpecIoError when the worker binary
+  /// cannot be resolved or the file cannot be written.
+  SupervisedJob supervisor_job(
+      const xtalk::DefectLibrary& lib,
+      const std::vector<sbst::GenerationResult>& sessions,
+      const std::string& checkpoint_base, const std::string& fault_spec) const;
 
   /// Sanity checks a spec must pass before a campaign can run on the
   /// embedded CPU: bus widths must match the architecture (the CPU drives

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -283,18 +284,50 @@ TEST(Cli, BadShardSpecsAreUsageErrors) {
   EXPECT_EQ(run_cli({"campaign", "--workers", "2", "--shard", "0/2"}).code, 2);
 }
 
+// Scope for supervised CLI runs.  run() executes in the test binary, so
+// the worker processes are pointed at the real xtest executable, and
+// $TMPDIR (where a run without --checkpoint keeps its shard files) at a
+// fresh empty directory, so no earlier run's shards can be restored.
+struct SupervisedRunEnv {
+  std::filesystem::path dir;
+  std::optional<std::string> saved_tmpdir;
+
+  explicit SupervisedRunEnv(const std::string& tag) : dir(temp_path(tag)) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    if (const char* t = std::getenv("TMPDIR")) saved_tmpdir = t;
+    setenv("TMPDIR", dir.c_str(), 1);
+    setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1);
+  }
+  ~SupervisedRunEnv() {
+    unsetenv("XTEST_WORKER_BINARY");
+    if (saved_tmpdir)
+      setenv("TMPDIR", saved_tmpdir->c_str(), 1);
+    else
+      unsetenv("TMPDIR");
+    std::filesystem::remove_all(dir);
+  }
+
+  std::string leftovers() const {
+    std::string names;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+      names += e.path().filename().string() + " ";
+    return names;
+  }
+};
+
 TEST(Cli, SupervisedWorkersMatchTheSerialVerdictLines) {
-  // run() here executes in the test binary, so point the supervisor's
-  // worker processes at the real xtest executable.
-  ASSERT_EQ(setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1), 0);
   const std::vector<std::string> serial_args = {
       "campaign", "--bus", "data",      "--defects", "10",
       "--seed",   "7",     "--threads", "1"};
   std::vector<std::string> supervised_args = serial_args;
   supervised_args.insert(supervised_args.end(), {"--workers", "2"});
   const CliRun serial = run_cli(serial_args);
-  const CliRun supervised = run_cli(supervised_args);
-  unsetenv("XTEST_WORKER_BINARY");
+  CliRun supervised;
+  {
+    const SupervisedRunEnv env("cli_supervised_match");
+    supervised = run_cli(supervised_args);
+  }
 
   ASSERT_EQ(serial.code, 0) << serial.err;
   ASSERT_EQ(supervised.code, 0) << supervised.err << supervised.out;
@@ -308,6 +341,22 @@ TEST(Cli, SupervisedWorkersMatchTheSerialVerdictLines) {
       << supervised.out;
   EXPECT_NE(supervised.out.find("quarantined=0"), std::string::npos)
       << supervised.out;
+}
+
+TEST(Cli, SupervisedRunsWithoutCheckpointLeaveNoFilesToRestore) {
+  // Without --checkpoint the CLI picks the shard base itself, so a run
+  // that finishes removes its shard checkpoints (and its job file): the
+  // same command run again starts afresh instead of restoring them.
+  const SupervisedRunEnv env("cli_supervised_twice");
+  for (int run = 1; run <= 2; ++run) {
+    const CliRun r =
+        run_cli({"campaign", "--bus", "data", "--defects", "10", "--seed",
+                 "7", "--threads", "1", "--workers", "2"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    EXPECT_NE(r.out.find(" restored=0 "), std::string::npos)
+        << "run " << run << ":\n" << r.out;
+    EXPECT_EQ(env.leftovers(), "") << "after run " << run;
+  }
 }
 
 TEST(Cli, ScenarioFlagMatchesDefaultCampaignAtEveryThreadCount) {

@@ -2,6 +2,7 @@
 
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -206,16 +207,19 @@ TEST(ParallelConfigTest, AutoReadsEnvironment) {
   const char* saved = std::getenv("XTEST_THREADS");
   const std::string saved_value = saved ? saved : "";
 
+  // What an auto config resolves to with no usable $XTEST_THREADS.
+  const unsigned hardware =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 100u);
+
   ::setenv("XTEST_THREADS", "3", 1);
-  EXPECT_EQ(ParallelConfig::from_env().threads, 3u);
   EXPECT_EQ(ParallelConfig{}.resolve(100), 3u);
+  EXPECT_EQ(ParallelConfig{5}.resolve(100), 5u);  // explicit count wins
 
   ::setenv("XTEST_THREADS", "garbage", 1);
-  EXPECT_EQ(ParallelConfig::from_env().threads, 0u);  // invalid -> auto
+  EXPECT_EQ(ParallelConfig{}.resolve(100), hardware);  // invalid -> auto
 
   ::unsetenv("XTEST_THREADS");
-  EXPECT_EQ(ParallelConfig::from_env().threads, 0u);
-  EXPECT_GE(ParallelConfig{}.resolve(100), 1u);  // hardware fallback
+  EXPECT_EQ(ParallelConfig{}.resolve(100), hardware);  // hardware fallback
 
   if (saved)
     ::setenv("XTEST_THREADS", saved_value.c_str(), 1);

@@ -25,6 +25,7 @@
 #include "serve/queue.h"
 #include "serve/server.h"
 #include "sim/campaign.h"
+#include "sim/supervisor.h"
 #include "spec/scenario.h"
 #include "util/crc32.h"
 #include "util/fault_injector.h"
@@ -472,14 +473,10 @@ class ServeFixture : public ::testing::Test {
     stop();
     util::FaultInjector::global().disarm();
     std::remove(queue_path_.c_str());
-    // Per-job scratch (checkpoints, job scenario files).
-    for (std::uint64_t id = 1; id <= 8; ++id) {
-      const std::string base = queue_path_ + ".job" + std::to_string(id) +
-                               ".ckpt";
-      std::remove((base + ".job.scn").c_str());
-      for (std::size_t k = 0; k < 8; ++k)
-        std::remove((base + ".shard" + std::to_string(k)).c_str());
-    }
+    // Per-job shard checkpoints (the job scenario file goes with its job).
+    for (std::uint64_t id = 1; id <= 8; ++id)
+      sim::Supervisor::remove_shard_checkpoints(
+          queue_path_ + ".job" + std::to_string(id) + ".ckpt", 8);
   }
 
   void start(ServerOptions o = {}) {

@@ -185,6 +185,19 @@ TEST(ScenarioSpec, OnlineAndElectricalKeysRoundTrip) {
   EXPECT_EQ(parse_scenario(serialize_scenario(s)), s);
 }
 
+TEST(ScenarioSpec, ValidateBoundsTheWorkerCount) {
+  // The daemon forks campaign.workers processes for a client's scenario,
+  // so the count is bounded (and nothing here starts a worker).
+  ScenarioSpec s;
+  s.workers = kMaxWorkers;
+  EXPECT_EQ(kMaxWorkers, 64u);
+  EXPECT_NO_THROW(s.validate());
+  s.workers = kMaxWorkers + 1;
+  EXPECT_THROW(s.validate(), SpecParseError);
+  EXPECT_THROW(parse_scenario("campaign.workers = 65\n").validate(),
+               SpecParseError);
+}
+
 TEST(ScenarioSpec, OnlineValidationRules) {
   {
     ScenarioSpec s;

@@ -1,16 +1,19 @@
-// Crash-isolated sharded campaigns: shard assignment and merge, stats
-// raw-counter merging, tag-aware checkpoint tmp cleanup, and the
-// Supervisor's worker-process lifecycle (spawn retry, heartbeat-timeout
-// kills, crash/respawn/resume, quarantine after exhausted retries).
+// Crash-isolated sharded campaigns: shard assignment, per-shard verdicts
+// against the serial run, stats raw-counter merging, tag-aware checkpoint
+// tmp cleanup, the supervised-job builder, and the Supervisor's
+// worker-process lifecycle (spawn retry, heartbeat-timeout kills,
+// crash/respawn/resume, quarantine after exhausted retries).
 //
 // The Supervisor.* tests spawn the real xtest binary (XTEST_BINARY_PATH,
-// injected by CMake) as worker processes against a scenario file written
-// to the test temp dir -- the same wire format the CLI uses.
+// injected by CMake) as worker processes against the job the CLI and the
+// daemon build (spec::ScenarioSpec::supervisor_job).
 
 #include <cstddef>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,40 +64,31 @@ std::vector<Verdict> serial_verdicts(const spec::ScenarioSpec& s,
                                 s.make_library(), opts);
 }
 
-// Builds the SupervisorJob for `spec` exactly like the CLI does: scenario
-// file as the job wire format, per-shard checkpoints under a unique base.
-// Cleans its files up on destruction (and stale shard checkpoints from a
-// previous failed run on construction).
+// A unique shard-checkpoint base for `tag`, with any shard files a
+// previous failed run left there removed.  Also points supervised jobs at
+// the built xtest binary: this test executable cannot be a worker.
+std::string fresh_base(const std::string& tag) {
+  ::setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1);
+  const std::string base = temp_path("xtest_sup_" + tag + ".ckpt");
+  Supervisor::remove_shard_checkpoints(base, 16);
+  return base;
+}
+
+// The supervised job for `spec` from the builder the CLI and the daemon
+// use.  The job file goes with the job object; the shard checkpoints go
+// when the fixture does.
 struct SupervisorFixture {
-  spec::ScenarioSpec spec;
   std::string base;
-  SupervisorJob job;
+  spec::SupervisedJob supervised;
 
-  SupervisorFixture(spec::ScenarioSpec s, const std::string& tag,
-                    std::string fault_spec = "")
-      : spec(std::move(s)), base(temp_path("xtest_sup_" + tag + ".ckpt")) {
-    remove_shard_files();
-    job.binary = XTEST_BINARY_PATH;
-    job.scenario_path = base + ".job.scn";
-    job.defect_count = spec.defect_count;
-    job.sections = {"session0"};
-    job.checkpoint_key = default_checkpoint_key(spec.bus, spec.make_library());
-    job.checkpoint_base = base;
-    job.fault_spec = std::move(fault_spec);
-    write_file(job.scenario_path, spec::serialize_scenario(spec));
-  }
+  SupervisorFixture(const spec::ScenarioSpec& s, const std::string& tag,
+                    const std::string& fault_spec = "")
+      : base(fresh_base(tag)),
+        supervised(s.supervisor_job(s.make_library(), s.make_sessions(), base,
+                                    fault_spec)) {}
+  ~SupervisorFixture() { Supervisor::remove_shard_checkpoints(base, 16); }
 
-  ~SupervisorFixture() {
-    std::error_code ec;
-    fs::remove(job.scenario_path, ec);
-    remove_shard_files();
-  }
-
-  void remove_shard_files() {
-    std::error_code ec;
-    for (std::size_t k = 0; k < 16; ++k)
-      fs::remove(Supervisor::shard_checkpoint_path(base, k), ec);
-  }
+  const SupervisorJob& job() const { return supervised.job(); }
 };
 
 // Arms the process-wide injector (supervisor.* sites fire in the parent,
@@ -148,20 +142,22 @@ TEST(ShardMerge, ShardedRunsMergeToTheSerialResultBitwise) {
   const std::vector<Verdict> serial = serial_verdicts(s, &serial_stats);
 
   for (const std::size_t count : {2u, 4u}) {
-    std::vector<ShardResult> shards;
-    for (std::size_t k = 0; k < count; ++k) {
-      ShardResult r;
-      r.shard = {k, count};
-      CampaignOptions opts = s.campaign_options(&r.stats);
-      opts.shard = r.shard;
-      r.verdicts = run_detection_sessions(s.system, s.make_sessions(), s.bus,
-                                          s.make_library(), opts);
-      shards.push_back(std::move(r));
-    }
     util::CampaignStats merged_stats;
-    const std::vector<Verdict> merged =
-        merge_shard_results(shards, &merged_stats);
-    EXPECT_EQ(merged, serial) << count << " shards";
+    for (std::size_t k = 0; k < count; ++k) {
+      util::CampaignStats shard_stats;
+      CampaignOptions opts = s.campaign_options(&shard_stats);
+      opts.shard = {k, count};
+      const std::vector<Verdict> v = run_detection_sessions(
+          s.system, s.make_sessions(), s.bus, s.make_library(), opts);
+      ASSERT_EQ(v.size(), serial.size());
+      // Every slot the shard owns carries the serial verdict.
+      for (std::size_t i = 0; i < v.size(); ++i)
+        if (opts.shard.owns(i)) {
+          EXPECT_EQ(v[i], serial[i])
+              << "slot " << i << " of shard " << k << "/" << count;
+        }
+      merged_stats.merge_from(shard_stats);
+    }
     // The verdict breakdown is a raw-counter sum over shards and must
     // reproduce the serial breakdown exactly.
     EXPECT_EQ(merged_stats.detected, serial_stats.detected);
@@ -170,33 +166,6 @@ TEST(ShardMerge, ShardedRunsMergeToTheSerialResultBitwise) {
     EXPECT_EQ(merged_stats.undetected, serial_stats.undetected);
     EXPECT_EQ(merged_stats.sim_errors, serial_stats.sim_errors);
   }
-}
-
-TEST(ShardMerge, ValidationRejectsBadPartitions) {
-  const auto make = [](std::size_t index, std::size_t count,
-                       std::size_t slots) {
-    ShardResult r;
-    r.shard = {index, count};
-    r.verdicts.assign(slots, Verdict::kUndetected);
-    return r;
-  };
-
-  // No shards at all.
-  EXPECT_THROW(merge_shard_results({}), std::invalid_argument);
-  // Missing shard: 2 results claiming a 3-way partition.
-  EXPECT_THROW(merge_shard_results({make(0, 3, 6), make(1, 3, 6)}),
-               std::invalid_argument);
-  // Duplicate shard index.
-  EXPECT_THROW(merge_shard_results({make(0, 2, 6), make(0, 2, 6)}),
-               std::invalid_argument);
-  // Shards disagreeing on the shard count.
-  EXPECT_THROW(merge_shard_results({make(0, 2, 6), make(1, 3, 6)}),
-               std::invalid_argument);
-  // Shards disagreeing on the library size.
-  EXPECT_THROW(merge_shard_results({make(0, 2, 6), make(1, 2, 7)}),
-               std::invalid_argument);
-  // A complete consistent partition is accepted.
-  EXPECT_EQ(merge_shard_results({make(1, 2, 6), make(0, 2, 6)}).size(), 6u);
 }
 
 // ---------------------------------------------------------------------------
@@ -358,6 +327,46 @@ TEST(CheckpointTags, CrashBetweenFsyncAndRenameResumesFromLastRename) {
 }
 
 // ---------------------------------------------------------------------------
+// The supervised-job builder (no workers are spawned here).
+
+TEST(SupervisedJob, BuilderWritesTheWorkerScenarioAndRemovesItOnDestruction) {
+  spec::ScenarioSpec s = worker_spec(4);
+  s.workers = 3;
+  const std::string base = fresh_base("jobfile");
+  const std::string path = base + ".job.scn";
+  {
+    const spec::SupervisedJob sj =
+        s.supervisor_job(s.make_library(), s.make_sessions(), base, "");
+    const SupervisorJob& job = sj.job();
+    EXPECT_EQ(job.scenario_path, path);
+    EXPECT_EQ(job.binary, XTEST_BINARY_PATH);
+    EXPECT_EQ(job.defect_count, 4u);
+    EXPECT_EQ(job.sections, std::vector<std::string>{"session0"});
+    EXPECT_EQ(job.checkpoint_key,
+              default_checkpoint_key(s.bus, s.make_library()));
+    EXPECT_EQ(job.checkpoint_base, base);
+    // The worker scenario is this spec with supervision stripped.
+    spec::ScenarioSpec expected = s;
+    expected.workers = 0;
+    EXPECT_EQ(spec::load_scenario(path), expected);
+  }
+  EXPECT_FALSE(fs::exists(path));
+
+  // The file also goes when the supervised run throws: zero workers are
+  // rejected before anything is spawned.
+  const auto run_rejected = [&] {
+    const spec::SupervisedJob sj =
+        s.supervisor_job(s.make_library(), s.make_sessions(), base, "");
+    ASSERT_TRUE(fs::exists(path));
+    SupervisorOptions opt;
+    opt.workers = 0;
+    Supervisor(sj.job(), opt).run();
+  };
+  EXPECT_THROW(run_rejected(), std::runtime_error);
+  EXPECT_FALSE(fs::exists(path));
+}
+
+// ---------------------------------------------------------------------------
 // Supervisor process tests (spawn the real xtest binary as workers).
 
 TEST(Supervisor, SupervisedRunMatchesSerialBitwise) {
@@ -368,7 +377,7 @@ TEST(Supervisor, SupervisedRunMatchesSerialBitwise) {
   SupervisorFixture fx(s, "serial_match");
   SupervisorOptions opt;
   opt.workers = 3;
-  SupervisorResult r = Supervisor(fx.job, opt).run();
+  SupervisorResult r = Supervisor(fx.job(), opt).run();
 
   EXPECT_EQ(r.verdicts, serial);
   EXPECT_FALSE(r.degraded());
@@ -393,7 +402,7 @@ TEST(Supervisor, MoreWorkersThanDefectsLeavesEmptyShardsHealthy) {
   SupervisorFixture fx(s, "empty_shards");
   SupervisorOptions opt;
   opt.workers = 5;  // shards 3 and 4 own zero defects
-  SupervisorResult r = Supervisor(fx.job, opt).run();
+  SupervisorResult r = Supervisor(fx.job(), opt).run();
 
   EXPECT_EQ(r.verdicts, serial);
   EXPECT_FALSE(r.degraded());
@@ -413,7 +422,7 @@ TEST(Supervisor, CrashingWorkersResumeFromCheckpointProgress) {
   SupervisorOptions opt;
   opt.workers = 2;
   opt.worker_backoff_ms = 1;
-  SupervisorResult r = Supervisor(fx.job, opt).run();
+  SupervisorResult r = Supervisor(fx.job(), opt).run();
 
   EXPECT_EQ(r.verdicts, serial);
   EXPECT_FALSE(r.degraded());
@@ -432,7 +441,7 @@ TEST(Supervisor, RetriesExhaustedQuarantinesTheShard) {
   opt.workers = 2;
   opt.worker_retries = 1;
   opt.worker_backoff_ms = 1;
-  SupervisorResult r = Supervisor(fx.job, opt).run();
+  SupervisorResult r = Supervisor(fx.job(), opt).run();
 
   // Graceful degradation: the run completes (no throw), both shards are
   // quarantined, every unrecovered defect reads kSimError, and each shard
@@ -459,7 +468,7 @@ TEST(Supervisor, SpawnFailureIsRetriedWithBackoff) {
   SupervisorOptions opt;
   opt.workers = 2;
   opt.worker_backoff_ms = 1;
-  SupervisorResult r = Supervisor(fx.job, opt).run();
+  SupervisorResult r = Supervisor(fx.job(), opt).run();
 
   EXPECT_EQ(r.verdicts, serial);
   EXPECT_FALSE(r.degraded());
@@ -483,7 +492,7 @@ TEST(Supervisor, HeartbeatLossRacesNormalExitAndStaysClean) {
   SupervisorOptions opt;
   opt.workers = 2;
   opt.worker_backoff_ms = 1;
-  SupervisorResult r = Supervisor(fx.job, opt).run();
+  SupervisorResult r = Supervisor(fx.job(), opt).run();
 
   EXPECT_EQ(r.verdicts, serial);
   EXPECT_FALSE(r.degraded());

@@ -553,47 +553,6 @@ void print_bist_compare(std::ostream& out, const spec::ScenarioSpec& s,
   out << buf;
 }
 
-/// Builds the supervisor's job description for a scenario: materialized
-/// library metadata plus the worker-facing scenario file (`<base>.job.scn`,
-/// the exact spec with supervision stripped so a worker can never recurse
-/// into spawning its own workers).  The caller owns deleting the job file.
-sim::SupervisorJob make_supervisor_job(const spec::ScenarioSpec& s,
-                                       const xtalk::DefectLibrary& lib,
-                                       std::size_t session_count,
-                                       const std::vector<bool>& session_live,
-                                       const std::string& checkpoint_base,
-                                       const std::string& fault_spec) {
-  sim::SupervisorJob job;
-  // $XTEST_WORKER_BINARY lets a process that embeds the CLI library (the
-  // tests) point workers at the real xtest binary instead of itself.
-  const char* worker_bin = std::getenv("XTEST_WORKER_BINARY");
-  job.binary = worker_bin != nullptr && *worker_bin != '\0'
-                   ? worker_bin
-                   : util::current_executable();
-  if (job.binary.empty())
-    throw IoError("cannot resolve own executable path to spawn workers");
-  job.defect_count = lib.size();
-  for (std::size_t i = 0; i < session_count; ++i)
-    if (session_live[i]) job.sections.push_back("session" + std::to_string(i));
-  job.checkpoint_key = sim::default_checkpoint_key(s.bus, lib);
-  job.checkpoint_base = checkpoint_base;
-  job.fault_spec = fault_spec;
-
-  spec::ScenarioSpec worker_spec = s;
-  worker_spec.workers = 0;
-  job.scenario_path = checkpoint_base + ".job.scn";
-  write_file(job.scenario_path, spec::serialize_scenario(worker_spec));
-  return job;
-}
-
-/// Removes a temp file on scope exit (the worker job scenario).
-struct FileCleanup {
-  std::string path;
-  ~FileCleanup() {
-    if (!path.empty()) std::remove(path.c_str());
-  }
-};
-
 int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
                             std::ostream& out, std::ostream& err) {
   const std::string fault_spec =
@@ -603,13 +562,9 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
   const FaultSpecGuard faults(fault_spec);
 
   const auto lib = s.make_library();
-  const auto sessions = s.make_sessions();
-  std::vector<bool> live(sessions.size());
-  for (std::size_t i = 0; i < sessions.size(); ++i)
-    live[i] = !sessions[i].program.tests.empty();
-
+  const bool implicit_base = p.options.count("checkpoint") == 0;
   std::string base;
-  if (p.options.count("checkpoint")) {
+  if (!implicit_base) {
     base = p.options.at("checkpoint");
     if (base.empty()) throw UsageError("--checkpoint: missing file name");
   } else {
@@ -621,10 +576,8 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
              ".ckpt"))
                .string();
   }
-
-  const sim::SupervisorJob job =
-      make_supervisor_job(s, lib, sessions.size(), live, base, fault_spec);
-  const FileCleanup job_file{job.scenario_path};
+  const spec::SupervisedJob job =
+      s.supervisor_job(lib, s.make_sessions(), base, fault_spec);
 
   sim::SupervisorOptions sup;
   sup.workers = s.workers;
@@ -637,8 +590,11 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
   sup.cancel = &interrupt_flag();
   sup.log = &err;
 
-  sim::Supervisor supervisor(job, sup);
-  const sim::SupervisorResult r = supervisor.run();
+  const sim::SupervisorResult r = sim::Supervisor(job.job(), sup).run();
+  // A run that returned (complete or degraded) has nothing to resume, so
+  // shard files under a base the user did not name go; an interrupted
+  // run throws past here and keeps them for the same command to resume.
+  if (implicit_base) sim::Supervisor::remove_shard_checkpoints(base, s.workers);
 
   print_campaign_summary(out, s, lib.size(), r.verdicts, r.stats);
   std::size_t spawns = 0;
@@ -901,9 +857,6 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
     s.bus = bus;
     const auto lib = s.make_library();
     const auto sessions = s.make_sessions();
-    std::vector<bool> live(sessions.size());
-    for (std::size_t i = 0; i < sessions.size(); ++i)
-      live[i] = !sessions[i].program.tests.empty();
 
     // Uninterrupted in-process reference, injector disarmed: the merged
     // supervised result must match it bit for bit.
@@ -917,8 +870,7 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
         (std::filesystem::temp_directory_path() /
          ("xtest_wchaos_" + soc::to_string(bus) + ".ckpt"))
             .string();
-    for (std::size_t k = 0; k < s.workers; ++k)
-      std::remove(sim::Supervisor::shard_checkpoint_path(base, k).c_str());
+    sim::Supervisor::remove_shard_checkpoints(base, s.workers);
 
     if (!fault_spec.empty()) {
       try {
@@ -927,9 +879,8 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
         throw UsageError(e.what());
       }
     }
-    const sim::SupervisorJob job =
-        make_supervisor_job(s, lib, sessions.size(), live, base, fault_spec);
-    const FileCleanup job_file{job.scenario_path};
+    const spec::SupervisedJob job =
+        s.supervisor_job(lib, sessions, base, fault_spec);
 
     sim::SupervisorOptions sup;
     sup.workers = s.workers;
@@ -937,7 +888,7 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
     sup.chaos_seed = s.seed ^ static_cast<std::uint64_t>(bus);
     sup.chaos_max_kills = kill_budget;
     sup.cancel = &interrupt_flag();
-    const sim::SupervisorResult r = sim::Supervisor(job, sup).run();
+    const sim::SupervisorResult r = sim::Supervisor(job.job(), sup).run();
     inj.disarm();
 
     if (r.degraded()) {
@@ -964,8 +915,7 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
                   soc::to_string(bus).c_str(), s.workers, r.chaos_kills,
                   r.respawns, spawns);
     out << buf;
-    for (std::size_t k = 0; k < s.workers; ++k)
-      std::remove(sim::Supervisor::shard_checkpoint_path(base, k).c_str());
+    sim::Supervisor::remove_shard_checkpoints(base, s.workers);
   }
   char buf[128];
   std::snprintf(buf, sizeof buf,
@@ -1120,12 +1070,7 @@ int cmd_submit(const Parsed& p, std::ostream& out, std::ostream& err) {
 // default, so reconnect-and-resume is exercised on every lost connection.
 
 int cmd_chaos_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
-  const char* worker_bin = std::getenv("XTEST_WORKER_BINARY");
-  const std::string binary = worker_bin != nullptr && *worker_bin != '\0'
-                                 ? worker_bin
-                                 : util::current_executable();
-  if (binary.empty())
-    throw IoError("cannot resolve own executable path to spawn the daemon");
+  const std::string binary = spec::worker_binary();
 
   spec::ScenarioSpec scn = base_scenario(p);
   if (p.options.count("scenario") == 0) {
