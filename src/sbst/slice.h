@@ -31,6 +31,12 @@ class ProgramSlice {
   /// Binds to `program`, which must outlive the slice.  Nothing runs yet.
   explicit ProgramSlice(const TestProgram& program) : program_(&program) {}
 
+  /// A slice already suspended at `from` (a state of `program`'s run, e.g.
+  /// a gold-trace boundary): the first run() restores it instead of
+  /// loading the program.
+  ProgramSlice(const TestProgram& program, const soc::SliceState& from)
+      : program_(&program), state_(from), started_(true) {}
+
   /// Runs up to `budget` more cycles on `system` (rounded up to the
   /// instruction boundary, as Cpu::run does).  The first call performs the
   /// tester's load_and_reset; later calls restore the suspended state --

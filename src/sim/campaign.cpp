@@ -51,6 +51,7 @@ std::vector<Record> run_campaign(const soc::SystemConfig& config,
     const soc::CacheCounters c = system.transition_cache_counters();
     stats.cache_hits += c.hits;
     stats.cache_misses += c.misses;
+    stats.loop_cycles_skipped += system.loop_cycles_skipped();
   };
 
   std::vector<Record> records(n);
@@ -251,30 +252,47 @@ template std::vector<OnlineOutcome> run_campaign<OnlineOutcome>(
 
 }  // namespace detail
 
-namespace {
-
 using detail::nominal_net;
 
-/// One whole-program defect simulation: apply, run, classify, restore.
-Verdict simulate_one(soc::System& system, soc::BusKind bus,
-                     const xtalk::Defect& defect,
-                     const sbst::TestProgram& program,
-                     const ResponseSnapshot& gold, std::uint64_t budget,
-                     std::uint64_t deadline_ms, std::uint64_t& cycles) {
+GoldRun run_gold(soc::System& system, const sbst::TestProgram& program,
+                 soc::BusKind bus) {
+  GoldRun gold;
+  gold.responses =
+      record_and_capture(system, program, 1'000'000, bus, gold.trace);
+  if (!gold.responses.completed)
+    throw std::runtime_error("gold run did not complete; bad program");
+  return gold;
+}
+
+ResponseSnapshot simulate_slot(soc::System& system, soc::BusKind bus,
+                               const xtalk::Defect& defect,
+                               const sbst::TestProgram& program,
+                               const GoldRun& gold, std::uint64_t budget,
+                               std::uint64_t deadline_ms, SlotSkip* skip) {
   system.apply_defect(bus, defect);
   ResponseSnapshot snap;
   try {
-    snap = run_and_capture(system, program, budget, deadline_ms);
+    std::optional<std::size_t> at = system.first_divergence(gold.trace);
+    // The stepped run reaches the start point only if the cap does not
+    // stop it first; campaign budgets always exceed gold's cycles, a
+    // smaller one starts from the entry.
+    std::uint64_t start =
+        at ? gold.trace.boundaries[*at].cpu.cycles : gold.responses.cycles;
+    if (start > budget) {
+      at = 0;
+      start = 0;
+    }
+    snap = at ? resume_and_capture(system, program, gold.trace.state_at(*at),
+                                   budget, deadline_ms)
+              : replay_capture(gold.responses);
+    if (skip != nullptr) *skip = {start, !at};
   } catch (...) {
     system.clear_defects();  // keep the worker's simulator reusable
     throw;
   }
-  cycles = snap.cycles;
   system.clear_defects();
-  return classify(gold, snap);
+  return snap;
 }
-
-}  // namespace
 
 xtalk::DefectLibrary make_defect_library(
     const soc::SystemConfig& config, soc::BusKind bus, std::size_t count,
@@ -311,24 +329,36 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    const xtalk::DefectLibrary& library,
                                    const CampaignOptions& options) {
   const std::size_t n = library.size();
-  ResponseSnapshot gold;
+  GoldRun gold;
   std::uint64_t budget = 0;
+  // Skip counters of the slots simulated to completion (a failed attempt
+  // adds nothing; its retry does).
+  std::atomic<std::uint64_t> prefix_cycles{0};
+  std::atomic<std::size_t> gold_equal{0};
 
   detail::CampaignMode<Verdict> mode;
   mode.default_key = default_checkpoint_key(bus, library);
   mode.gold = [&](soc::System& system) {
-    gold = run_and_capture(system, program, 1'000'000);
-    if (!gold.completed)
-      throw std::runtime_error("gold run did not complete; bad program");
-    budget = gold.cycles * options.cycle_factor + 1000;
-    return gold.cycles;
+    gold = run_gold(system, program, bus);
+    budget = gold.responses.cycles * options.cycle_factor + 1000;
+    return gold.responses.cycles;
   };
   mode.simulate = [&](std::size_t i, soc::System& system,
                       std::uint64_t& cycles) {
-    return simulate_one(system, bus, library[i], program, gold, budget,
-                        options.defect_deadline_ms, cycles);
+    SlotSkip skip;
+    const ResponseSnapshot snap =
+        simulate_slot(system, bus, library[i], program, gold, budget,
+                      options.defect_deadline_ms, &skip);
+    cycles = snap.cycles;
+    prefix_cycles.fetch_add(skip.prefix_cycles, std::memory_order_relaxed);
+    if (skip.gold_equal) gold_equal.fetch_add(1, std::memory_order_relaxed);
+    return classify(gold.responses, snap);
   };
-  mode.tally = [](const std::vector<Verdict>&, bool, util::CampaignStats&) {};
+  mode.tally = [&](const std::vector<Verdict>&, bool,
+                   util::CampaignStats& stats) {
+    stats.prefix_cycles_skipped += prefix_cycles.load();
+    stats.gold_equal_slots += gold_equal.load();
+  };
   return detail::run_campaign(config, n, options, mode);
 }
 

@@ -116,6 +116,44 @@ struct CampaignOptions {
   std::function<void()> progress;
 };
 
+/// The gold reference of one campaign call: the tester's view of the
+/// defect-free run and the trace every defect simulation starts from.
+struct GoldRun {
+  ResponseSnapshot responses;
+  soc::GoldTrace trace;
+};
+
+/// Runs `program` defect-free on `system` (nominal, no MMIO window) for at
+/// most 1,000,000 cycles, recording the trace of `bus`.  Throws
+/// std::runtime_error when the program does not complete.
+GoldRun run_gold(soc::System& system, const sbst::TestProgram& program,
+                 soc::BusKind bus);
+
+/// What one slot's simulation did not have to simulate.
+struct SlotSkip {
+  /// Cycles of the gold prefix the run started after (all of gold's for
+  /// a gold-equal slot).
+  std::uint64_t prefix_cycles = 0;
+  /// No transfer diverged: the slot's run is gold's.
+  bool gold_equal = false;
+};
+
+/// One slot of a campaign: `defect` applied to `bus`, `program` run
+/// against the `budget` cycle cap, responses captured, the defect removed
+/// again.  Bit-identical to load_and_reset + run(budget) + capture, but
+/// starts at the first instruction whose transfer on `bus` receives a
+/// different word than gold's -- every earlier transition is still
+/// evaluated, so masking is kept -- and returns gold's snapshot when no
+/// transfer differs (DESIGN.md D17).  `deadline_ms` > 0 runs it under the
+/// watchdog of run_and_capture.  `skip` (optional) reports what was
+/// skipped.
+ResponseSnapshot simulate_slot(soc::System& system, soc::BusKind bus,
+                               const xtalk::Defect& defect,
+                               const sbst::TestProgram& program,
+                               const GoldRun& gold, std::uint64_t budget,
+                               std::uint64_t deadline_ms,
+                               SlotSkip* skip = nullptr);
+
 /// Runs `program` under every defect of `library` applied to `bus`.
 /// Returns one Verdict per defect.
 ///

@@ -61,6 +61,27 @@ ResponseSnapshot run_and_capture(soc::System& system,
                                  std::uint64_t max_cycles,
                                  std::uint64_t deadline_ms);
 
+/// The gold run: the plain run_and_capture, except that the run is
+/// stepped and records `trace` of `bus` (soc::System::run_recording).
+ResponseSnapshot record_and_capture(soc::System& system,
+                                    const sbst::TestProgram& program,
+                                    std::uint64_t max_cycles,
+                                    soc::BusKind bus, soc::GoldTrace& trace);
+
+/// run_and_capture (with the same watchdog) for a run that starts
+/// suspended at `from` -- a state the run from the program's entry passes
+/// through at `from.cpu.cycles` -- instead of at the entry.
+ResponseSnapshot resume_and_capture(soc::System& system,
+                                    const sbst::TestProgram& program,
+                                    const soc::SliceState& from,
+                                    std::uint64_t max_cycles,
+                                    std::uint64_t deadline_ms);
+
+/// The snapshot of a run proven to replay `gold` transfer for transfer:
+/// gold's own.  Consults "signature.capture" like every capture, so the
+/// site fires once per run whichever way it was decided.
+ResponseSnapshot replay_capture(const ResponseSnapshot& gold);
+
 /// Tester-visible verdict for one faulty run against the gold run: a run
 /// that never signals completion is a timeout detection (the paper's
 /// control-derailment case), a completed run with differing response bytes

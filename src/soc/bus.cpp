@@ -13,41 +13,12 @@ std::string to_string(BusKind k) {
   return "?";
 }
 
-util::BusWord TristateBus::transfer(util::BusWord word,
-                                    const xtalk::RcNetwork* net,
-                                    const xtalk::CrosstalkErrorModel* model) {
-  assert(word.width() == width_);
-  const xtalk::VectorPair pair{held_, word};
-  util::BusWord received = word;
-  if (net != nullptr && model != nullptr) received = model->receive(*net, pair);
-  held_ = word;
-  return received;
-}
-
-util::BusWord TristateBus::transfer(util::BusWord word,
-                                    const xtalk::BusEvaluator* eval,
-                                    xtalk::TransitionCache* cache) {
-  assert(word.width() == width_);
-  const std::uint64_t held = held_.bits();
-  const std::uint64_t driven = word.bits();
-  held_ = word;
-  if (eval == nullptr || eval->width() == 0) return word;
-  // Early exits: an evaluator whose worst case provably never deviates
-  // (calibrated nominal networks) samples the driven word on *every*
-  // transition, and a quiet bus (no wire toggles) does so whenever the
-  // glitch threshold is positive.  Neither case touches the cache.
-  if (eval->always_identity()) return word;
-  if (held == driven && eval->quiet_is_identity()) return word;
-  if (cache != nullptr && cache->enabled()) {
-    const std::uint64_t key = (held << width_) | driven;
-    std::uint64_t value = 0;
-    if (!cache->lookup(key, value)) {
-      value = eval->receive(held, driven);
-      cache->insert(key, value);
-    }
-    return {width_, value};
-  }
-  return {width_, eval->receive(held, driven)};
+util::BusWord TristateBus::receive(util::BusWord held, util::BusWord word,
+                                   const xtalk::RcNetwork* net,
+                                   const xtalk::CrosstalkErrorModel* model) {
+  assert(word.width() == held.width());
+  if (net == nullptr || model == nullptr) return word;
+  return model->receive(*net, xtalk::VectorPair{held, word});
 }
 
 }  // namespace xtest::soc

@@ -144,24 +144,148 @@ void System::restore_slice(const SliceState& state) {
   cpu_.restore(state.cpu);
 }
 
+SliceState GoldTrace::state_at(std::size_t k) const {
+  const Boundary& b = boundaries.at(k);
+  SliceState s;
+  s.cpu = b.cpu;
+  s.memory = memory;
+  for (std::size_t i = 0; i < b.writes; ++i)
+    s.memory[writes[i].addr & cpu::kAddrMask] = writes[i].value;
+  s.addr_held = b.addr_held;
+  s.data_held = b.data_held;
+  s.ctrl_held = b.ctrl_held;
+  return s;
+}
+
+namespace {
+
+/// Everything the next instruction's behaviour depends on, besides what
+/// is static during a run (channels, forced MAF): PC, ACC, flags, the held
+/// words and the memory version.  Bus widths are 12/8/3, so the packing is
+/// exact.
+struct LoopKey {
+  std::uint64_t cpu = 0;
+  std::uint64_t held = 0;
+  std::uint64_t memory = 0;
+
+  bool operator==(const LoopKey&) const = default;
+};
+
+}  // namespace
+
 RunResult System::run(std::uint64_t max_cycles) {
+  if (trace_ == nullptr && mmio_.empty()) {
+    const auto key = [this] {
+      return LoopKey{
+          cpu_.pc() | std::uint64_t{cpu_.acc()} << 16 |
+              std::uint64_t{cpu_.flags().mask()} << 24,
+          addr_bus_.held().bits() | data_bus_.held().bits() << 16 |
+              ctrl_bus_.held().bits() << 32,
+          memory_.version()};
+    };
+    // Brent: the tortoise jumps to the hare at every power of two, so a
+    // loop of period p entered after m instructions is found within
+    // O(m + p) instructions at one key compare each.
+    LoopKey tortoise = key();
+    std::uint64_t tortoise_cycles = cpu_.cycles();
+    std::uint64_t power = 1;
+    std::uint64_t lambda = 0;
+    while (!cpu_.halted() && cpu_.cycles() < max_cycles) {
+      cpu_.step();
+      const LoopKey hare = key();
+      if (hare == tortoise && !cpu_.halted()) {
+        // The state repeats every `period` cycles from here on: land on
+        // the last repetition at or below the cap (the stepped run passes
+        // it, or stops on it), then step the remainder below.
+        const std::uint64_t period = cpu_.cycles() - tortoise_cycles;
+        if (cpu_.cycles() < max_cycles) {
+          const std::uint64_t skipped =
+              (max_cycles - cpu_.cycles()) / period * period;
+          cpu::CpuState state = cpu_.state();
+          state.cycles += skipped;
+          cpu_.restore(state);
+          loop_cycles_skipped_ += skipped;
+        }
+        break;
+      }
+      if (++lambda == power) {
+        tortoise = hare;
+        tortoise_cycles = cpu_.cycles();
+        power *= 2;
+        lambda = 0;
+      }
+    }
+  }
   cpu_.run(max_cycles);
   return {cpu_.cycles(), cpu_.halted(), cpu_.halt_reason()};
+}
+
+RunResult System::run_recording(std::uint64_t max_cycles, BusKind bus,
+                                GoldTrace& trace) {
+  trace.bus = bus;
+  trace.memory = memory_.raw();
+  trace.transfers.clear();
+  trace.boundaries.clear();
+  trace.writes.clear();
+  recording_ = &trace;
+  while (!cpu_.halted() && cpu_.cycles() < max_cycles) {
+    trace.boundaries.push_back({cpu_.state(), addr_bus_.held(),
+                                data_bus_.held(), ctrl_bus_.held(),
+                                trace.writes.size()});
+    cpu_.step();
+  }
+  recording_ = nullptr;
+  return {cpu_.cycles(), cpu_.halted(), cpu_.halt_reason()};
+}
+
+std::optional<std::size_t> System::first_divergence(const GoldTrace& trace) {
+  BusChannel& channel = trace.bus == BusKind::kAddress ? addr_
+                        : trace.bus == BusKind::kData  ? data_
+                                                       : ctrl_;
+  const xtalk::CrosstalkErrorModel& model =
+      trace.bus == BusKind::kAddress ? addr_model_
+      : trace.bus == BusKind::kData  ? data_model_
+                                     : ctrl_model_;
+  const unsigned width = channel.net.width();
+  for (const GoldTrace::Transfer& t : trace.transfers) {
+    const util::BusWord received =
+        receive(channel, model, trace.bus, util::BusWord(width, t.held),
+                util::BusWord(width, t.driven), t.direction);
+    if (received.bits() != t.received) return t.instruction;
+  }
+  return std::nullopt;
+}
+
+util::BusWord System::receive(BusChannel& channel,
+                              const xtalk::CrosstalkErrorModel& model,
+                              BusKind kind, util::BusWord held,
+                              util::BusWord driven,
+                              xtalk::BusDirection direction) {
+  util::BusWord received =
+      fast_receive_
+          ? TristateBus::receive(held, driven, &channel.eval, &channel.cache)
+          : TristateBus::receive(held, driven, &channel.net, &model);
+  if (forced_ && forced_->bus == kind &&
+      forced_->fault.direction == direction) {
+    const xtalk::VectorPair pair{held, driven};
+    if (xtalk::fully_excites(forced_->fault, pair))
+      received = xtalk::faulty_v2(forced_->fault, pair);
+  }
+  return received;
 }
 
 util::BusWord System::apply_bus(TristateBus& bus, BusChannel& channel,
                                 const xtalk::CrosstalkErrorModel& model,
                                 util::BusWord driven,
                                 xtalk::BusDirection direction) {
-  const xtalk::VectorPair pair{bus.held(), driven};
-  util::BusWord received =
-      fast_receive_
-          ? bus.transfer(driven, &channel.eval, &channel.cache)
-          : bus.transfer(driven, &channel.net, &model);
-  if (forced_ && forced_->bus == bus.kind() &&
-      forced_->fault.direction == direction &&
-      xtalk::fully_excites(forced_->fault, pair)) {
-    received = xtalk::faulty_v2(forced_->fault, pair);
+  const util::BusWord held = bus.held();
+  const util::BusWord received =
+      receive(channel, model, bus.kind(), held, driven, direction);
+  bus.restore_held(driven);
+  if (recording_ != nullptr && bus.kind() == recording_->bus) {
+    recording_->transfers.push_back(
+        {held.bits(), driven.bits(), received.bits(), direction,
+         static_cast<std::uint32_t>(recording_->boundaries.size() - 1)});
   }
   if (trace_ != nullptr) {
     trace_->record(BusEvent{cpu_.cycles(), bus.kind(), direction, driven,
@@ -211,6 +335,7 @@ void System::core_write(cpu::Addr addr, std::uint8_t data) {
     w->device->write(static_cast<cpu::Addr>(addr - w->base), data);
     return;
   }
+  if (recording_ != nullptr) recording_->writes.push_back({addr, data});
   memory_.write(addr, data);
 }
 

@@ -97,6 +97,45 @@ struct SliceState {
   util::BusWord ctrl_held = util::BusWord::zeros(kControlBits);
 };
 
+/// What a gold (defect-free) run records so that a defect simulation can
+/// start at its first diverging transfer (System::run_recording and
+/// System::first_divergence, DESIGN.md D17): every transfer on one bus,
+/// the machine state before every instruction, and the memory writes.
+/// Until a transfer on the recorded bus receives a different word than
+/// gold's, a machine whose other buses are nominal *is* the gold machine.
+struct GoldTrace {
+  /// One transfer on the recorded bus (words as packed bits).
+  struct Transfer {
+    std::uint64_t held = 0;      ///< word on the wires before the transfer
+    std::uint64_t driven = 0;
+    std::uint64_t received = 0;  ///< what gold's receiver sampled
+    xtalk::BusDirection direction = xtalk::BusDirection::kCpuToCore;
+    std::uint32_t instruction = 0;  ///< index into `boundaries`
+  };
+  /// The machine before one instruction.
+  struct Boundary {
+    cpu::CpuState cpu;
+    util::BusWord addr_held;
+    util::BusWord data_held;
+    util::BusWord ctrl_held;
+    std::size_t writes = 0;  ///< gold memory writes before it
+  };
+  struct Write {
+    cpu::Addr addr = 0;
+    std::uint8_t value = 0;
+  };
+
+  BusKind bus = BusKind::kAddress;
+  std::array<std::uint8_t, cpu::kMemWords> memory{};  ///< before boundary 0
+  std::vector<Transfer> transfers;
+  std::vector<Boundary> boundaries;
+  std::vector<Write> writes;
+
+  /// The gold machine at boundary `k`: the start memory plus the writes
+  /// made before it, the CPU state and the three held words.
+  SliceState state_at(std::size_t k) const;
+};
+
 class System : public cpu::BusPort {
  public:
   explicit System(const SystemConfig& config = {});
@@ -181,7 +220,33 @@ class System : public cpu::BusPort {
   void load_and_reset(const cpu::MemoryImage& image, cpu::Addr entry);
 
   /// Runs until HLT/illegal or the cycle cap.  At-speed self-test phase.
+  ///
+  /// Stops exactly where stepping Cpu::run(max_cycles) stops, in the same
+  /// state, but fast-forwards a provable loop (DESIGN.md D17): Brent's
+  /// cycle detection compares, once per instruction, the PC, ACC, flags,
+  /// the three held words and the memory version.  An equal key means the
+  /// machine is periodic -- defect channels and a forced MAF do not change
+  /// during a run, the transition cache only memoizes -- so whole periods
+  /// are skipped while the landing boundary stays <= the cap, and the rest
+  /// is stepped.  Never skips while an MMIO window is attached (peripheral
+  /// state is outside the key) or a BusTrace is set (it sees every event).
   RunResult run(std::uint64_t max_cycles);
+
+  /// The gold run: run(), stepped, recording into `trace` the transfers
+  /// on `bus`, every instruction boundary and every memory write (see
+  /// GoldTrace).  For off-line programs: no MMIO window may be attached.
+  RunResult run_recording(std::uint64_t max_cycles, BusKind bus,
+                          GoldTrace& trace);
+
+  /// Evaluates every transfer of `trace` on its bus, in order, through the
+  /// receive path bus cycles take (fast or reference model, cache, forced
+  /// MAF) under the current channels.  Returns the index of the boundary
+  /// of the instruction holding the first transfer whose received word
+  /// differs from gold's, or nullopt when none does (the run is gold's).
+  std::optional<std::size_t> first_divergence(const GoldTrace& trace);
+
+  /// Cycles fast-forwarded by run()'s loop skip since construction.
+  std::uint64_t loop_cycles_skipped() const { return loop_cycles_skipped_; }
 
   // --- cpu::BusPort -------------------------------------------------------
   std::uint8_t read(cpu::Addr addr) override;
@@ -213,9 +278,19 @@ class System : public cpu::BusPort {
     bool defective = false;
   };
 
+  /// One bus transfer: receive() on the bus's held word, then the held
+  /// word becomes the driven one; recorded and traced when asked.
   util::BusWord apply_bus(TristateBus& bus, BusChannel& channel,
                           const xtalk::CrosstalkErrorModel& model,
                           util::BusWord driven, xtalk::BusDirection direction);
+
+  /// The word the receiver samples for the transition (held, driven): the
+  /// one receive path of both apply_bus and first_divergence.  Pure but
+  /// for the transition cache's memo.
+  util::BusWord receive(BusChannel& channel,
+                        const xtalk::CrosstalkErrorModel& model, BusKind kind,
+                        util::BusWord held, util::BusWord driven,
+                        xtalk::BusDirection direction);
 
   /// Re-derives the channel's evaluator from its (new) network.
   static void rebuild(BusChannel& channel,
@@ -254,7 +329,9 @@ class System : public cpu::BusPort {
   std::vector<MmioWindow> mmio_;
   cpu::Cpu cpu_{*this};
   BusTrace* trace_ = nullptr;
+  GoldTrace* recording_ = nullptr;  // set during run_recording only
   std::optional<ForcedMaf> forced_;
+  std::uint64_t loop_cycles_skipped_ = 0;
 };
 
 }  // namespace xtest::soc

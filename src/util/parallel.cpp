@@ -122,7 +122,9 @@ std::string CampaignStats::json(const std::string& label) const {
       "\"retries\":%zu,\"restored_from_checkpoint\":%zu,"
       "\"salvaged_sections\":%zu,\"dropped_slots\":%zu,"
       "\"flush_failures\":%zu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
-      "\"cache_hit_rate\":%.4f,\"gold_reuses\":%zu,"
+      "\"cache_hit_rate\":%.4f,\"prefix_cycles_skipped\":%llu,"
+      "\"loop_cycles_skipped\":%llu,\"gold_equal_slots\":%zu,"
+      "\"gold_reuses\":%zu,"
       "\"run_reuses\":%zu,"
       "\"decode_cache_hits\":%llu,\"jit_bailouts\":%llu,"
       "\"online_rounds\":%llu,\"online_mmio_heartbeats\":%llu,"
@@ -138,6 +140,8 @@ std::string CampaignStats::json(const std::string& label) const {
       dropped_slots, flush_failures,
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses), cache_hit_rate(),
+      static_cast<unsigned long long>(prefix_cycles_skipped),
+      static_cast<unsigned long long>(loop_cycles_skipped), gold_equal_slots,
       gold_reuses, run_reuses,
       static_cast<unsigned long long>(decode_cache_hits),
       static_cast<unsigned long long>(jit_bailouts),
@@ -167,6 +171,9 @@ void CampaignStats::merge_from(const CampaignStats& other) {
   flush_failures += other.flush_failures;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
+  prefix_cycles_skipped += other.prefix_cycles_skipped;
+  loop_cycles_skipped += other.loop_cycles_skipped;
+  gold_equal_slots += other.gold_equal_slots;
   gold_reuses += other.gold_reuses;
   run_reuses += other.run_reuses;
   decode_cache_hits += other.decode_cache_hits;
@@ -247,6 +254,9 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
   any |= json_counter(obj, "flush_failures", out.flush_failures);
   any |= json_counter(obj, "cache_hits", out.cache_hits);
   any |= json_counter(obj, "cache_misses", out.cache_misses);
+  any |= json_counter(obj, "prefix_cycles_skipped", out.prefix_cycles_skipped);
+  any |= json_counter(obj, "loop_cycles_skipped", out.loop_cycles_skipped);
+  any |= json_counter(obj, "gold_equal_slots", out.gold_equal_slots);
   any |= json_counter(obj, "gold_reuses", out.gold_reuses);
   any |= json_counter(obj, "run_reuses", out.run_reuses);
   any |= json_counter(obj, "decode_cache_hits", out.decode_cache_hits);

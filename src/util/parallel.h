@@ -115,6 +115,15 @@ struct CampaignStats {
   std::uint64_t cache_hits = 0;
   /// Bus transfers that missed the memo and ran the analytic fast path.
   std::uint64_t cache_misses = 0;
+  // Skip counters of the off-line campaign (DESIGN.md D17).  Skipped
+  // cycles are still counted in simulated_cycles: they are cycles of the
+  // simulated machine that needed no stepping.
+  /// Gold-prefix cycles before each slot's first diverging transfer.
+  std::uint64_t prefix_cycles_skipped = 0;
+  /// Cycles fast-forwarded over provably periodic loops.
+  std::uint64_t loop_cycles_skipped = 0;
+  /// Slots decided with no diverging transfer (gold's run and verdict).
+  std::size_t gold_equal_slots = 0;
   /// Always 0: every campaign call runs its gold program once (the
   /// gold-run memo was removed, DESIGN.md D15).  Kept so stats consumers
   /// that read the field keep working.

@@ -121,33 +121,6 @@ TransitionCache::TransitionCache(unsigned width) {
   shift_ = 64 - (log2_entries - 1);  // hash selects a set, not an entry
 }
 
-bool TransitionCache::lookup(std::uint64_t key, std::uint64_t& value) {
-  if (entries_.empty()) return false;
-  const std::size_t base = index(key);
-  Entry& e0 = entries_[base];
-  if (e0.generation == generation_ && e0.key == key) {
-    value = e0.value;
-    ++hits_;
-    return true;
-  }
-  Entry& e1 = entries_[base + 1];
-  if (e1.generation == generation_ && e1.key == key) {
-    value = e1.value;
-    std::swap(e0, e1);  // keep the set in MRU order
-    ++hits_;
-    return true;
-  }
-  ++misses_;
-  return false;
-}
-
-void TransitionCache::insert(std::uint64_t key, std::uint64_t value) {
-  if (entries_.empty()) return;
-  const std::size_t base = index(key);
-  entries_[base + 1] = entries_[base];  // evict the LRU way
-  entries_[base] = Entry{key, value, generation_};
-}
-
 void TransitionCache::invalidate() {
   if (entries_.empty()) return;
   if (++generation_ == 0) {

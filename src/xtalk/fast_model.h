@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "xtalk/error_model.h"
@@ -120,8 +121,33 @@ class TransitionCache {
 
   bool enabled() const { return !entries_.empty(); }
 
-  bool lookup(std::uint64_t key, std::uint64_t& value);
-  void insert(std::uint64_t key, std::uint64_t value);
+  /// Inline, like insert: both run on every evaluated bus transfer.
+  bool lookup(std::uint64_t key, std::uint64_t& value) {
+    if (entries_.empty()) return false;
+    const std::size_t base = index(key);
+    Entry& e0 = entries_[base];
+    if (e0.generation == generation_ && e0.key == key) {
+      value = e0.value;
+      ++hits_;
+      return true;
+    }
+    Entry& e1 = entries_[base + 1];
+    if (e1.generation == generation_ && e1.key == key) {
+      value = e1.value;
+      std::swap(e0, e1);  // keep the set in MRU order
+      ++hits_;
+      return true;
+    }
+    ++misses_;
+    return false;
+  }
+
+  void insert(std::uint64_t key, std::uint64_t value) {
+    if (entries_.empty()) return;
+    const std::size_t base = index(key);
+    entries_[base + 1] = entries_[base];  // evict the LRU way
+    entries_[base] = Entry{key, value, generation_};
+  }
 
   /// Drops every entry in O(1).  Call whenever the underlying network,
   /// thresholds, or forced-fault state changes.

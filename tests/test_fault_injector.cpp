@@ -19,6 +19,23 @@ TEST(FaultInjector, DisarmedCountsNothingAndNeverFires) {
   EXPECT_EQ(inj.hits("checkpoint.rename"), 0u);
 }
 
+TEST(FaultInjector, LiteralAndStringSitesShareOneCounter) {
+  FaultInjector inj;
+  inj.configure("signature.capture@2");
+  const char* literal = "signature.capture";
+  EXPECT_NO_THROW(inj.maybe_fail(literal));
+  try {
+    inj.maybe_fail(std::string(literal));
+    FAIL() << "the second hit must fail";
+  } catch (const InjectedFault& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "injected fault at signature.capture (hit 2)");
+  }
+  EXPECT_NO_THROW(inj.maybe_fail(literal));
+  EXPECT_EQ(inj.hits(literal), 3u);
+  EXPECT_EQ(inj.fired(literal), 1u);
+}
+
 TEST(FaultInjector, AlwaysRuleFiresEveryHitOfItsSiteOnly) {
   FaultInjector inj;
   inj.configure("checkpoint.rename");

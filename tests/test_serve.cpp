@@ -750,6 +750,9 @@ TEST(StatsJson, FuzzRoundTripProperty) {
     st.cache_hits = rng.below(1u << 20);
     st.cache_misses = rng.below(1u << 20);
     st.gold_reuses = rng.below(1000);
+    st.prefix_cycles_skipped = rng.below(1u << 30);
+    st.loop_cycles_skipped = rng.below(1u << 30);
+    st.gold_equal_slots = rng.below(1u << 20);
     util::CampaignStats back;
     ASSERT_TRUE(util::parse_stats_json(st.json("fuzz"), back));
     EXPECT_EQ(back.defects_simulated, st.defects_simulated);
@@ -761,6 +764,9 @@ TEST(StatsJson, FuzzRoundTripProperty) {
     EXPECT_EQ(back.cache_hits, st.cache_hits);
     EXPECT_EQ(back.cache_misses, st.cache_misses);
     EXPECT_EQ(back.gold_reuses, st.gold_reuses);
+    EXPECT_EQ(back.prefix_cycles_skipped, st.prefix_cycles_skipped);
+    EXPECT_EQ(back.loop_cycles_skipped, st.loop_cycles_skipped);
+    EXPECT_EQ(back.gold_equal_slots, st.gold_equal_slots);
   }
 }
 

@@ -178,6 +178,9 @@ TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   a.wall_seconds = 1.5;
   a.threads = 2;
   a.detected = 7;
+  a.prefix_cycles_skipped = 1000;
+  a.loop_cycles_skipped = 40;
+  a.gold_equal_slots = 3;
   a.error_log = {"defect 3: boom"};
 
   util::CampaignStats b;
@@ -186,6 +189,9 @@ TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   b.wall_seconds = 0.5;
   b.threads = 4;
   b.detected = 2;
+  b.prefix_cycles_skipped = 24;
+  b.loop_cycles_skipped = 2;
+  b.gold_equal_slots = 1;
   b.error_log = {"defect 8: bang"};
 
   a.merge_from(b);
@@ -196,6 +202,9 @@ TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   EXPECT_DOUBLE_EQ(a.wall_seconds, 2.0);
   EXPECT_EQ(a.threads, 4u);
   EXPECT_EQ(a.detected, 9u);
+  EXPECT_EQ(a.prefix_cycles_skipped, 1024u);
+  EXPECT_EQ(a.loop_cycles_skipped, 42u);
+  EXPECT_EQ(a.gold_equal_slots, 4u);
   ASSERT_EQ(a.error_log.size(), 2u);
   EXPECT_EQ(a.error_log[1], "defect 8: bang");
 }

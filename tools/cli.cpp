@@ -478,7 +478,8 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 "retries=%zu restored=%zu salvaged=%zu dropped=%zu\n"
                 "threads=%u simulations=%zu cycles=%llu wall=%.3fs "
                 "library=%.3fs defects/sec=%.0f\n"
-                "cache_hits=%llu cache_misses=%llu cache_hit_rate=%.1f%%\n",
+                "cache_hits=%llu cache_misses=%llu cache_hit_rate=%.1f%% "
+                "prefix_skipped=%llu loop_skipped=%llu gold_equal=%zu\n",
                 vc.detected, vc.detected_by_timeout, vc.undetected,
                 vc.sim_errors, stats.retries, stats.restored_from_checkpoint,
                 stats.salvaged_sections, stats.dropped_slots, stats.threads,
@@ -488,7 +489,10 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 stats.defects_per_second(),
                 static_cast<unsigned long long>(stats.cache_hits),
                 static_cast<unsigned long long>(stats.cache_misses),
-                100.0 * stats.cache_hit_rate());
+                100.0 * stats.cache_hit_rate(),
+                static_cast<unsigned long long>(stats.prefix_cycles_skipped),
+                static_cast<unsigned long long>(stats.loop_cycles_skipped),
+                stats.gold_equal_slots);
   out << buf;
 }
 
