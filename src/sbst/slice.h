@@ -1,13 +1,14 @@
 // Resumable execution slices of a self-test program.
 //
-// Off-line campaigns run a TestProgram to completion in one call; the
-// on-line testing mode (and the PR 3 watchdog before it) needs to stop the
-// program at an instruction boundary, give the core back to functional
-// work, and later continue as if nothing happened.  A ProgramSlice owns
-// exactly that lifecycle: the first run() loads the program into the
-// system, every subsequent run() reinstates the saved architectural state
-// (soc::SliceState -- CPU registers, memory, bus held words)
-// and continues for another cycle budget.
+// Off-line campaigns run a TestProgram to completion in one call, and
+// their per-defect watchdog polls inside that call (soc::System::run); the
+// on-line testing mode needs to stop the program at an instruction
+// boundary, give the core back to functional work, and later continue as
+// if nothing happened.  A ProgramSlice owns exactly that lifecycle: the
+// first run() loads the program into the system, every subsequent run()
+// reinstates the saved architectural state (soc::SliceState -- CPU
+// registers, memory, bus held words) and continues for another cycle
+// budget.
 //
 // The invariant the slice property tests pin down: for ANY sequence of
 // budgets, the concatenated slices produce the same memory contents, the
@@ -30,12 +31,6 @@ class ProgramSlice {
  public:
   /// Binds to `program`, which must outlive the slice.  Nothing runs yet.
   explicit ProgramSlice(const TestProgram& program) : program_(&program) {}
-
-  /// A slice already suspended at `from` (a state of `program`'s run, e.g.
-  /// a gold-trace boundary): the first run() restores it instead of
-  /// loading the program.
-  ProgramSlice(const TestProgram& program, const soc::SliceState& from)
-      : program_(&program), state_(from), started_(true) {}
 
   /// Runs up to `budget` more cycles on `system` (rounded up to the
   /// instruction boundary, as Cpu::run does).  The first call performs the

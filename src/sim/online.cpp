@@ -1,13 +1,11 @@
 #include "sim/online.h"
 
-#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 
 #include "sbst/slice.h"
 #include "sim/campaign_driver.h"
 #include "sim/signature.h"
-#include "util/fault_injector.h"
 
 namespace xtest::sim {
 
@@ -103,7 +101,7 @@ OnlineOutcome simulate_one_online(soc::System& system,
     soc::InterleavedScheduler sched(system, online, workload);
     sbst::ProgramSlice slice(program);
     OnlineOutcome out;
-    const auto start = std::chrono::steady_clock::now();
+    const Watchdog watchdog(deadline_ms);
     for (std::size_t r = 0; r < gold.size(); ++r) {
       const RoundSnap snap =
           run_round(sched, slice, system, program, online.slice_cycles);
@@ -123,18 +121,7 @@ OnlineOutcome simulate_one_online(soc::System& system,
         break;
       }
       if (snap.halted) break;  // matched gold to completion: undetected
-      if (deadline_ms > 0) {
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (static_cast<std::uint64_t>(elapsed) >= deadline_ms ||
-            util::FaultInjector::global().fire("campaign.deadline"))
-          throw DeadlineExceeded(
-              "defect deadline: on-line schedule still running after " +
-              std::to_string(sched.global_cycles()) + " cycles (deadline " +
-              std::to_string(deadline_ms) + " ms)");
-      }
+      if (watchdog.expired()) watchdog.fail(sched.global_cycles());
     }
     finish_schedule(sched, out, global_cycles);
     system.clear_defects();

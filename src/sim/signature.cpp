@@ -1,9 +1,7 @@
 #include "sim/signature.h"
 
-#include <algorithm>
-#include <chrono>
+#include <functional>
 
-#include "sbst/slice.h"
 #include "util/fault_injector.h"
 
 namespace xtest::sim {
@@ -25,55 +23,43 @@ ResponseSnapshot capture(soc::System& system,
   return snap;
 }
 
-/// Runs `slice` to `max_cycles` total cycles, one budget-bounded slice at
-/// a time, checking the wall clock between slices.  Slicing is
-/// bitwise-exact (sbst/slice.h), so the result is identical to the
-/// unwatched run's.  Budgets are coarse enough that the time check is
-/// noise, fine enough that a wedged simulation is caught within a few
-/// slices.
-soc::RunResult run_watched(sbst::ProgramSlice& slice, soc::System& system,
-                           std::uint64_t max_cycles,
-                           std::uint64_t deadline_ms) {
-  using Clock = std::chrono::steady_clock;
-  constexpr std::uint64_t kSliceCycles = 4096;
-  const auto start = Clock::now();
-  soc::RunResult rr;
-  for (;;) {
-    const std::uint64_t budget =
-        std::min<std::uint64_t>(kSliceCycles, max_cycles - slice.cycles());
-    rr = slice.run(system, budget);
-    if (rr.halted || rr.cycles >= max_cycles) return rr;
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             Clock::now() - start)
-                             .count();
-    if (static_cast<std::uint64_t>(elapsed) >= deadline_ms ||
-        util::FaultInjector::global().fire("campaign.deadline"))
-      throw DeadlineExceeded(
-          "defect deadline: simulation still running after " +
-          std::to_string(rr.cycles) + " cycles (deadline " +
-          std::to_string(deadline_ms) + " ms)");
-  }
+/// Runs the loaded or restored program to `max_cycles` under the
+/// watchdog of `deadline_ms` and captures its responses.
+ResponseSnapshot run_to_cap(soc::System& system,
+                            const sbst::TestProgram& program,
+                            std::uint64_t max_cycles,
+                            std::uint64_t deadline_ms) {
+  const Watchdog watchdog(deadline_ms);
+  std::function<bool()> poll;
+  if (deadline_ms > 0) poll = [&watchdog] { return watchdog.expired(); };
+  const soc::RunResult rr = system.run(max_cycles, poll);
+  if (!rr.halted && rr.cycles < max_cycles) watchdog.fail(rr.cycles);
+  return capture(system, program, rr);
 }
 
 }  // namespace
 
-ResponseSnapshot run_and_capture(soc::System& system,
-                                 const sbst::TestProgram& program,
-                                 std::uint64_t max_cycles) {
-  system.load_and_reset(program.image, program.entry);
-  const soc::RunResult rr = system.run(max_cycles);
-  return capture(system, program, rr);
+bool Watchdog::expired() const {
+  if (deadline_ms_ == 0) return false;
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start_)
+                           .count();
+  return static_cast<std::uint64_t>(elapsed) >= deadline_ms_ ||
+         util::FaultInjector::global().fire("campaign.deadline");
+}
+
+void Watchdog::fail(std::uint64_t cycles) const {
+  throw DeadlineExceeded("defect deadline: simulation still running after " +
+                         std::to_string(cycles) + " cycles (deadline " +
+                         std::to_string(deadline_ms_) + " ms)");
 }
 
 ResponseSnapshot run_and_capture(soc::System& system,
                                  const sbst::TestProgram& program,
                                  std::uint64_t max_cycles,
                                  std::uint64_t deadline_ms) {
-  if (deadline_ms == 0) return run_and_capture(system, program, max_cycles);
-  // The watchdog is a ProgramSlice consumer.
-  sbst::ProgramSlice slice(program);
-  return capture(system, program,
-                 run_watched(slice, system, max_cycles, deadline_ms));
+  system.load_and_reset(program.image, program.entry);
+  return run_to_cap(system, program, max_cycles, deadline_ms);
 }
 
 ResponseSnapshot record_and_capture(soc::System& system,
@@ -90,13 +76,8 @@ ResponseSnapshot resume_and_capture(soc::System& system,
                                     const soc::SliceState& from,
                                     std::uint64_t max_cycles,
                                     std::uint64_t deadline_ms) {
-  if (deadline_ms == 0) {
-    system.restore_slice(from);
-    return capture(system, program, system.run(max_cycles));
-  }
-  sbst::ProgramSlice slice(program, from);
-  return capture(system, program,
-                 run_watched(slice, system, max_cycles, deadline_ms));
+  system.restore_slice(from);
+  return run_to_cap(system, program, max_cycles, deadline_ms);
 }
 
 ResponseSnapshot replay_capture(const ResponseSnapshot& gold) {

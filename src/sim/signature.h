@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -18,12 +19,33 @@
 
 namespace xtest::sim {
 
-/// Thrown by the deadline-guarded run_and_capture overload when one
-/// defect simulation exceeds its wall-clock budget.  Derives from
-/// runtime_error so the campaign quarantine path treats a wedged
-/// simulation exactly like any other SimError.
+/// Thrown by Watchdog::fail when one defect simulation exceeds its
+/// wall-clock budget.  Derives from runtime_error so the campaign
+/// quarantine path treats a wedged simulation exactly like any other
+/// SimError.
 struct DeadlineExceeded : std::runtime_error {
   using std::runtime_error::runtime_error;
+};
+
+/// The per-defect watchdog of both campaign modes: an off-line run polls
+/// it inside soc::System::run, an on-line schedule between rounds.  It
+/// expires `deadline_ms` wall-clock milliseconds after construction, or
+/// when fault-injection site "campaign.deadline" fires, so tests can trip
+/// it deterministically.  `deadline_ms` = 0 never expires and consults
+/// nothing.
+class Watchdog {
+ public:
+  explicit Watchdog(std::uint64_t deadline_ms)
+      : deadline_ms_(deadline_ms), start_(std::chrono::steady_clock::now()) {}
+
+  bool expired() const;
+  /// Throws DeadlineExceeded for a simulation still running after
+  /// `cycles` cycles.
+  [[noreturn]] void fail(std::uint64_t cycles) const;
+
+ private:
+  std::uint64_t deadline_ms_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 struct ResponseSnapshot {
@@ -44,22 +66,14 @@ struct ResponseSnapshot {
 
 /// Loads the program, runs it (at most `max_cycles`), and captures the
 /// responses from memory.  The response unload consults fault-injection
-/// site "signature.capture".
-ResponseSnapshot run_and_capture(soc::System& system,
-                                 const sbst::TestProgram& program,
-                                 std::uint64_t max_cycles);
-
-/// Watchdog variant: the run is sliced so the wall clock is checked every
-/// few thousand simulated cycles, and a simulation still going after
-/// `deadline_ms` milliseconds throws DeadlineExceeded instead of hanging
-/// its worker until the cycle budget drains.  `deadline_ms` = 0 disables
-/// the watchdog (identical to the plain overload).  The deadline check
-/// also consults fault-injection site "campaign.deadline" so tests can
-/// trip the timeout path deterministically.
+/// site "signature.capture".  `deadline_ms` > 0 runs it under a Watchdog:
+/// a simulation still going after that many milliseconds throws
+/// DeadlineExceeded instead of holding its worker until the cycle budget
+/// drains.  The watched run is the plain run, every skip included.
 ResponseSnapshot run_and_capture(soc::System& system,
                                  const sbst::TestProgram& program,
                                  std::uint64_t max_cycles,
-                                 std::uint64_t deadline_ms);
+                                 std::uint64_t deadline_ms = 0);
 
 /// The gold run: the plain run_and_capture, except that the run is
 /// stepped and records `trace` of `bus` (soc::System::run_recording).

@@ -173,30 +173,34 @@ struct LoopKey {
 
 }  // namespace
 
-RunResult System::run(std::uint64_t max_cycles) {
-  if (trace_ == nullptr && mmio_.empty()) {
-    const auto key = [this] {
-      return LoopKey{
-          cpu_.pc() | std::uint64_t{cpu_.acc()} << 16 |
-              std::uint64_t{cpu_.flags().mask()} << 24,
-          addr_bus_.held().bits() | data_bus_.held().bits() << 16 |
-              ctrl_bus_.held().bits() << 32,
-          memory_.version()};
-    };
-    // Brent: the tortoise jumps to the hare at every power of two, so a
-    // loop of period p entered after m instructions is found within
-    // O(m + p) instructions at one key compare each.
-    LoopKey tortoise = key();
-    std::uint64_t tortoise_cycles = cpu_.cycles();
-    std::uint64_t power = 1;
-    std::uint64_t lambda = 0;
-    while (!cpu_.halted() && cpu_.cycles() < max_cycles) {
-      cpu_.step();
+RunResult System::run(std::uint64_t max_cycles,
+                      const std::function<bool()>& expired) {
+  constexpr std::uint64_t kPollCycles = 4096;
+  const auto key = [this] {
+    return LoopKey{cpu_.pc() | std::uint64_t{cpu_.acc()} << 16 |
+                       std::uint64_t{cpu_.flags().mask()} << 24,
+                   addr_bus_.held().bits() | data_bus_.held().bits() << 16 |
+                       ctrl_bus_.held().bits() << 32,
+                   memory_.version()};
+  };
+  // Brent: the tortoise jumps to the hare at every power of two, so a loop
+  // of period p entered after m instructions is found within O(m + p)
+  // instructions at one key compare each.
+  bool detect = trace_ == nullptr && mmio_.empty();
+  LoopKey tortoise = key();
+  std::uint64_t tortoise_cycles = cpu_.cycles();
+  std::uint64_t power = 1;
+  std::uint64_t lambda = 0;
+  std::uint64_t next_poll =
+      expired ? cpu_.cycles() + kPollCycles : ~std::uint64_t{0};
+  while (!cpu_.halted() && cpu_.cycles() < max_cycles) {
+    cpu_.step();
+    if (detect) {
       const LoopKey hare = key();
       if (hare == tortoise && !cpu_.halted()) {
         // The state repeats every `period` cycles from here on: land on
         // the last repetition at or below the cap (the stepped run passes
-        // it, or stops on it), then step the remainder below.
+        // it, or stops on it), then step the remainder.
         const std::uint64_t period = cpu_.cycles() - tortoise_cycles;
         if (cpu_.cycles() < max_cycles) {
           const std::uint64_t skipped =
@@ -206,17 +210,20 @@ RunResult System::run(std::uint64_t max_cycles) {
           cpu_.restore(state);
           loop_cycles_skipped_ += skipped;
         }
-        break;
-      }
-      if (++lambda == power) {
+        detect = false;
+      } else if (++lambda == power) {
         tortoise = hare;
         tortoise_cycles = cpu_.cycles();
         power *= 2;
         lambda = 0;
       }
     }
+    if (cpu_.cycles() >= next_poll && !cpu_.halted() &&
+        cpu_.cycles() < max_cycles) {
+      if (expired()) break;
+      next_poll = cpu_.cycles() + kPollCycles;
+    }
   }
-  cpu_.run(max_cycles);
   return {cpu_.cycles(), cpu_.halted(), cpu_.halt_reason()};
 }
 

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -230,7 +231,13 @@ class System : public cpu::BusPort {
   /// are skipped while the landing boundary stays <= the cap, and the rest
   /// is stepped.  Never skips while an MMIO window is attached (peripheral
   /// state is outside the key) or a BusTrace is set (it sees every event).
-  RunResult run(std::uint64_t max_cycles);
+  ///
+  /// `expired` (optional) is polled every 4096 simulated cycles, skipped
+  /// ones included, while the run is still going; when it returns true the
+  /// run stops at that instruction boundary.  A result neither halted nor
+  /// at the cap was stopped by the poll.
+  RunResult run(std::uint64_t max_cycles,
+                const std::function<bool()>& expired = {});
 
   /// The gold run: run(), stepped, recording into `trace` the transfers
   /// on `bus`, every instruction boundary and every memory write (see

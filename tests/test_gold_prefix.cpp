@@ -113,16 +113,22 @@ TEST(SlotSkip, EverySlotMatchesTheRawInterpreter) {
                           where + " watchdog");
           gold_equal += skip.gold_equal;
           late_starts += !skip.gold_equal && skip.prefix_cycles > 0;
-          if (skip.gold_equal) EXPECT_EQ(raw[i].cycles, raw_gold.cycles);
+          if (skip.gold_equal) {
+            EXPECT_EQ(raw[i].cycles, raw_gold.cycles);
+          }
         }
         loop_skipped += system.loop_cycles_skipped();
       }
 
       // The campaign: verdicts and the cycle total at 1 and 4 threads,
-      // with and without the watchdog.
+      // with and without the watchdog, which keeps every skip.
       for (const unsigned threads : {1u, 4u}) {
+        util::CampaignStats plain;
         for (const std::uint64_t deadline : {std::uint64_t{0},
                                              std::uint64_t{600'000}}) {
+          const std::string where = tag + " threads " +
+                                    std::to_string(threads) + " deadline " +
+                                    std::to_string(deadline);
           util::CampaignStats stats;
           CampaignOptions o;
           o.cycle_factor = kCycleFactor;
@@ -130,9 +136,17 @@ TEST(SlotSkip, EverySlotMatchesTheRawInterpreter) {
           o.defect_deadline_ms = deadline;
           o.stats = &stats;
           EXPECT_EQ(run_detection(cfg, program, bus, lib, o), raw_verdicts)
-              << tag << " threads " << threads << " deadline " << deadline;
-          EXPECT_EQ(stats.simulated_cycles, raw_cycles)
-              << tag << " threads " << threads << " deadline " << deadline;
+              << where;
+          EXPECT_EQ(stats.simulated_cycles, raw_cycles) << where;
+          if (deadline == 0) {
+            plain = stats;
+            continue;
+          }
+          EXPECT_EQ(stats.loop_cycles_skipped, plain.loop_cycles_skipped)
+              << where;
+          EXPECT_EQ(stats.prefix_cycles_skipped, plain.prefix_cycles_skipped)
+              << where;
+          EXPECT_EQ(stats.gold_equal_slots, plain.gold_equal_slots) << where;
         }
       }
     }
@@ -279,7 +293,9 @@ TEST(LoopSkip, ChangingStoreIsNotSkippedBeforeTheStateRepeats) {
     EXPECT_EQ(run_to(prog, cap, true, &skipped), run_to(prog, cap, false))
         << cap;
     // Nine passes of 16 cycles change memory; nothing repeats before.
-    if (cap <= 9 * 16) EXPECT_EQ(skipped, 0u) << cap;
+    if (cap <= 9 * 16) {
+      EXPECT_EQ(skipped, 0u) << cap;
+    }
   }
   std::uint64_t skipped = 0;
   const Machine got = run_to(prog, 100'000, true, &skipped);

@@ -210,6 +210,47 @@ TEST(OnlineCampaign, TightDeadlineShowsInterference) {
   EXPECT_GT(r.gold.deadlines_late + r.gold.deadlines_missed, 0u);
 }
 
+TEST(OnlineCampaign, WatchdogKeepsOutcomes) {
+  const Fixture s = make_fixture();
+  sim::CampaignOptions plain;
+  plain.parallel = {2};
+  const sim::OnlineResult ref = sim::run_online_detection(
+      s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+      plain);
+  sim::CampaignOptions watched = plain;
+  watched.defect_deadline_ms = 600'000;
+  const sim::OnlineResult r = sim::run_online_detection(
+      s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+      watched);
+  EXPECT_EQ(r.verdicts, ref.verdicts);
+  EXPECT_EQ(r.outcomes, ref.outcomes);
+  EXPECT_EQ(r.gold, ref.gold);
+}
+
+TEST(OnlineCampaign, WatchdogTimeoutIsRetriedToTheSameOutcome) {
+  const Fixture s = make_fixture();
+  sim::CampaignOptions opts;
+  opts.parallel = {1};
+  const sim::OnlineResult ref = sim::run_online_detection(
+      s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+      opts);
+
+  // The first watchdog check of the campaign times its schedule out; the
+  // retry runs it again to the same outcome.
+  InjectorGuard guard;
+  util::FaultInjector::global().configure("campaign.deadline@1");
+  util::CampaignStats stats;
+  opts.defect_deadline_ms = 600'000;
+  opts.stats = &stats;
+  const sim::OnlineResult r = sim::run_online_detection(
+      s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+      opts);
+  EXPECT_EQ(util::FaultInjector::global().fired("campaign.deadline"), 1u);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.sim_errors, 0u);
+  EXPECT_EQ(r.outcomes, ref.outcomes);
+}
+
 TEST(OnlineCampaign, ShardingRejected) {
   const Fixture s = make_fixture(2);
   sim::CampaignOptions opts;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cpu/assembler.h"
 #include "sim/campaign.h"
 #include "sim/checkpoint.h"
 #include "sim/signature.h"
@@ -925,16 +926,38 @@ TEST(Resilience, SalvagedCheckpointResumeIsBitwiseIdentical) {
 // ---------------------------------------------------------------------------
 // Per-defect watchdog.
 
-sbst::TestProgram endless_program() {
-  // JMP to self: never reaches HLT no matter the cycle budget.
+sbst::TestProgram program_of(const char* source) {
+  const cpu::AsmResult a = cpu::assemble(source);
   sbst::TestProgram prog;
-  prog.entry = 0x010;
-  const auto jmp = cpu::encode_memref(cpu::Opcode::kJmp, prog.entry);
-  prog.image.set(prog.entry, jmp[0]);
-  prog.image.set(static_cast<cpu::Addr>(prog.entry + 1), jmp[1]);
-  prog.image.set(0x080, 0x42);
+  prog.image = a.image;
+  prog.entry = a.entry;
   prog.response_cells = {0x080};
   return prog;
+}
+
+/// JMP to self: never reaches HLT, and System::run fast-forwards it to
+/// the cycle budget (DESIGN.md D17).
+sbst::TestProgram endless_program() {
+  return program_of(R"(
+        .org 0x010
+  loop: jmp loop
+        .org 0x080
+        .byte 0x42
+  )");
+}
+
+/// Never reaches HLT and never repeats a state: every pass stores a new
+/// counter value, so each STA moves Memory::version() and no loop is
+/// skipped.  Only the watchdog ends it before the budget.
+sbst::TestProgram wedged_program() {
+  return program_of(R"(
+        .org 0x010
+  loop: inc
+        sta c
+        jmp loop
+        .org 0x080
+  c:    .byte 0x42
+  )");
 }
 
 TEST(Resilience, WatchdogDeadlineSiteFiresDeterministically) {
@@ -942,15 +965,26 @@ TEST(Resilience, WatchdogDeadlineSiteFiresDeterministically) {
   util::FaultInjector::global().configure("campaign.deadline@1");
   soc::System sys;
   // Huge wall-clock budget: only the injection site can trip the check,
-  // at the first slice boundary.
-  EXPECT_THROW(run_and_capture(sys, endless_program(), 1'000'000, 10'000),
+  // at the first poll.
+  EXPECT_THROW(run_and_capture(sys, wedged_program(), 1'000'000, 10'000),
                DeadlineExceeded);
 }
 
 TEST(Resilience, WatchdogConvertsAWedgedSimulationIntoAnException) {
   soc::System sys;
-  EXPECT_THROW(run_and_capture(sys, endless_program(), 200'000'000, 1),
+  EXPECT_THROW(run_and_capture(sys, wedged_program(), 200'000'000, 1),
                DeadlineExceeded);
+}
+
+TEST(Resilience, WatchedRunKeepsTheLoopSkip) {
+  // The watchdog polls inside the one System::run, so a spinning run is
+  // fast-forwarded to its budget long before a 1 ms deadline.
+  soc::System sys;
+  const ResponseSnapshot snap =
+      run_and_capture(sys, endless_program(), 200'000'000, 1);
+  EXPECT_FALSE(snap.completed);
+  EXPECT_GE(snap.cycles, 200'000'000u);
+  EXPECT_GT(sys.loop_cycles_skipped(), 0u);
 }
 
 TEST(Resilience, ZeroDeadlineDisablesTheWatchdog) {
@@ -962,7 +996,7 @@ TEST(Resilience, ZeroDeadlineDisablesTheWatchdog) {
 }
 
 TEST(Resilience, CampaignDeadlineOptionPreservesVerdicts) {
-  // The sliced runner must be cycle-for-cycle identical to the plain one
+  // The watched run must be cycle-for-cycle identical to the plain one
   // when nothing times out.
   const soc::SystemConfig cfg;
   const auto lib = make_defect_library(cfg, soc::BusKind::kAddress, 8, kSeed);
